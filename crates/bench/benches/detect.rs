@@ -7,37 +7,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::detect::{DetectConfig, SimDetectors};
-use pad::schemes::Scheme;
-use pad::sim::{ClusterSim, SimConfig};
+use pad_bench::{run_slice, slice_sim};
 use simkit::detect::{EwmaZScore, StreamDetector};
 use simkit::telemetry::codec::{parse, Format, ParsedRecord};
 use simkit::time::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::time::Duration;
-use workload::synth::SynthConfig;
-
-fn built_sim() -> ClusterSim {
-    let config = SimConfig::small_test(Scheme::Pad);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: SimTime::from_mins(10),
-        mean_utilization: 0.6,
-        ..SynthConfig::small_test()
-    }
-    .generate_direct(11);
-    ClusterSim::new(config, trace).expect("valid config")
-}
-
-fn run_slice(mut sim: ClusterSim) -> ClusterSim {
-    for _ in 0..50 {
-        sim.step(SimDuration::from_millis(100));
-    }
-    sim
-}
 
 /// A recorded trace to replay: the same slice with telemetry on.
 fn recorded_trace() -> (usize, Vec<ParsedRecord>) {
-    let mut sim = built_sim();
+    let mut sim = slice_sim();
     let racks = sim.rack_socs().len();
     sim.enable_telemetry(1 << 20);
     sim.enable_detection(DetectConfig::default());
@@ -50,7 +29,7 @@ fn recorded_trace() -> (usize, Vec<ParsedRecord>) {
 }
 
 fn bench_detect(c: &mut Criterion) {
-    let base = built_sim();
+    let base = slice_sim();
     // Stack construction is a one-time setup cost; build the detecting
     // variant outside the timed loop so iterations measure stepping.
     let det_sim = {

@@ -9,25 +9,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pad::fault::DegradedConfig;
-use pad::schemes::Scheme;
-use pad::sim::{ClusterSim, SimConfig};
+use pad::sim::ClusterSim;
+use pad_bench::{run_slice, slice_sim};
 use simkit::fault::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
-use simkit::time::{SimDuration, SimTime};
+use simkit::time::SimTime;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use workload::synth::SynthConfig;
-
-fn built_sim() -> ClusterSim {
-    let config = SimConfig::small_test(Scheme::Pad);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: SimTime::from_mins(10),
-        mean_utilization: 0.6,
-        ..SynthConfig::small_test()
-    }
-    .generate_direct(11);
-    ClusterSim::new(config, trace).expect("valid config")
-}
 
 /// A plan whose only window opens far past the benchmark slice: the
 /// injector is armed and scanned every step, but nothing ever fires.
@@ -68,15 +55,8 @@ fn armed(base: &ClusterSim, plan: FaultPlan) -> ClusterSim {
     sim
 }
 
-fn run_slice(mut sim: ClusterSim) -> ClusterSim {
-    for _ in 0..50 {
-        sim.step(SimDuration::from_millis(100));
-    }
-    sim
-}
-
 fn bench_fault(c: &mut Criterion) {
-    let base = built_sim();
+    let base = slice_sim();
     let idle_sim = armed(&base, idle_plan());
     let active_sim = armed(&base, active_plan());
     let mut group = c.benchmark_group("fault_sim_50_steps");
@@ -99,7 +79,7 @@ fn bench_fault(c: &mut Criterion) {
 /// noise). The armed-but-quiet injector must cost at most 5% — this is
 /// the bound the CI fault-suite step greps for.
 fn check_idle_overhead(_c: &mut Criterion) {
-    let base = built_sim();
+    let base = slice_sim();
     let idle_sim = armed(&base, idle_plan());
     // Warm both paths before timing.
     black_box(run_slice(base.clone()));

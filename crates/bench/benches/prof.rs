@@ -1,40 +1,15 @@
 //! Benchmarks of the self-profiling path: the same simulation slice run
-//! with no profiler installed (baseline), with a Null profiler installed
-//! (the "shipped but off" path every production run takes), and with
-//! live phase timing enabled. The acceptance target is that the Null
-//! path stays within a few percent of baseline — the step() phase hooks
-//! must collapse to one untaken branch each when profiling is off. A
-//! paired measurement at the end enforces the bound, and the live column
-//! is reported so the cost of turning the profiler on stays visible.
+//! with profiling off (baseline: the simulator owns no profiler) and with
+//! live phase timing enabled. A paired measurement at the end prints the
+//! live/baseline ratio so the cost of turning the profiler on stays
+//! visible; the off path is the baseline itself, which the CI perf gate
+//! measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pad::prof::SimProfiler;
-use pad::schemes::Scheme;
-use pad::sim::{ClusterSim, SimConfig};
-use simkit::time::{SimDuration, SimTime};
+use pad::sim::ClusterSim;
+use pad_bench::{run_slice, slice_sim};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use workload::synth::SynthConfig;
-
-fn built_sim() -> ClusterSim {
-    let config = SimConfig::small_test(Scheme::Pad);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: SimTime::from_mins(10),
-        mean_utilization: 0.6,
-        ..SynthConfig::small_test()
-    }
-    .generate_direct(11);
-    ClusterSim::new(config, trace).expect("valid config")
-}
-
-/// A clone with the Null profiler installed: hooks present, clock off.
-fn with_null_profiler(base: &ClusterSim) -> ClusterSim {
-    let mut sim = base.clone();
-    let racks = sim.config().topology.racks();
-    sim.enable_profiler(SimProfiler::null(racks));
-    sim
-}
 
 /// A clone with live phase timing enabled.
 fn with_live_profiler(base: &ClusterSim) -> ClusterSim {
@@ -43,16 +18,8 @@ fn with_live_profiler(base: &ClusterSim) -> ClusterSim {
     sim
 }
 
-fn run_slice(mut sim: ClusterSim) -> ClusterSim {
-    for _ in 0..50 {
-        sim.step(SimDuration::from_millis(100));
-    }
-    sim
-}
-
 fn bench_prof(c: &mut Criterion) {
-    let base = built_sim();
-    let null_sim = with_null_profiler(&base);
+    let base = slice_sim();
     let live_sim = with_live_profiler(&base);
     let mut group = c.benchmark_group("prof_sim_50_steps");
     group.warm_up_time(Duration::from_millis(500));
@@ -60,53 +27,38 @@ fn bench_prof(c: &mut Criterion) {
     group.bench_function("baseline", |b| {
         b.iter(|| black_box(run_slice(base.clone())))
     });
-    group.bench_function("null_profiler", |b| {
-        b.iter(|| black_box(run_slice(null_sim.clone())))
-    });
     group.bench_function("live_profiler", |b| {
         b.iter(|| black_box(run_slice(live_sim.clone())))
     });
     group.finish();
 }
 
-/// Paired overhead check: interleave baseline and Null-profiler rounds
-/// and compare the best round of each (min-of-rounds is robust to
-/// scheduler noise). The disabled profiler must cost at most 5% — this
-/// is the bound the CI perf step greps for. The live ratio is printed
-/// for the record but not gated: timing twelve phases per step has a
-/// real (small) cost, and that cost is the profiler's job to measure.
-fn check_disabled_overhead(_c: &mut Criterion) {
-    let base = built_sim();
-    let null_sim = with_null_profiler(&base);
+/// Paired cost report: interleave baseline and live-profiler rounds and
+/// compare the best round of each (min-of-rounds is robust to scheduler
+/// noise). The ratio is informational, not gated: timing a dozen phases
+/// per step has a real (small) cost, and that cost is the profiler's job
+/// to measure.
+fn report_live_overhead(_c: &mut Criterion) {
+    let base = slice_sim();
     let live_sim = with_live_profiler(&base);
-    // Warm all paths before timing.
+    // Warm both paths before timing.
     black_box(run_slice(base.clone()));
-    black_box(run_slice(null_sim.clone()));
     black_box(run_slice(live_sim.clone()));
     let mut best_base = Duration::MAX;
-    let mut best_null = Duration::MAX;
     let mut best_live = Duration::MAX;
     for _ in 0..15 {
         let t = Instant::now();
         black_box(run_slice(base.clone()));
         best_base = best_base.min(t.elapsed());
         let t = Instant::now();
-        black_box(run_slice(null_sim.clone()));
-        best_null = best_null.min(t.elapsed());
-        let t = Instant::now();
         black_box(run_slice(live_sim.clone()));
         best_live = best_live.min(t.elapsed());
     }
-    let ratio = best_null.as_secs_f64() / best_base.as_secs_f64();
     let live_ratio = best_live.as_secs_f64() / best_base.as_secs_f64();
-    println!("prof_overhead_ratio: {ratio:.4} (Null profiler vs no profiler, min of 15 rounds)");
-    println!("prof_live_ratio: {live_ratio:.4} (live phase timing vs no profiler, informational)");
-    assert!(
-        ratio <= 1.05,
-        "disabled profiler path is {:.1}% over baseline (budget 5%)",
-        (ratio - 1.0) * 100.0
+    println!(
+        "prof_live_ratio: {live_ratio:.4} (live phase timing vs no profiler, min of 15 rounds)"
     );
 }
 
-criterion_group!(benches, bench_prof, check_disabled_overhead);
+criterion_group!(benches, bench_prof, report_live_overhead);
 criterion_main!(benches);

@@ -1,47 +1,17 @@
-//! Benchmarks of the telemetry fast path: the same simulation slice run
-//! with telemetry disabled (baseline), with a `NullRecorder` sink
-//! (aggregates + counters only), and with a live ring sink. The
-//! acceptance target is that the null path stays within a few percent of
-//! baseline — enabling the registry must not tax the simulator's hot
-//! loop when nobody is recording.
+//! Benchmarks of telemetry recording: the same simulation slice run with
+//! telemetry off (baseline: the simulator owns no recorder) and with a
+//! live ring recorder, so the cost of recording stays visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pad::schemes::Scheme;
-use pad::sim::{ClusterSim, SimConfig};
-use simkit::telemetry::TelemetrySink;
-use simkit::time::{SimDuration, SimTime};
+use pad_bench::{run_slice, slice_sim};
 use std::hint::black_box;
 use std::time::Duration;
-use workload::synth::SynthConfig;
-
-fn built_sim() -> ClusterSim {
-    let config = SimConfig::small_test(Scheme::Pad);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: SimTime::from_mins(10),
-        mean_utilization: 0.6,
-        ..SynthConfig::small_test()
-    }
-    .generate_direct(11);
-    ClusterSim::new(config, trace).expect("valid config")
-}
-
-fn run_slice(mut sim: ClusterSim) -> ClusterSim {
-    for _ in 0..50 {
-        sim.step(SimDuration::from_millis(100));
-    }
-    sim
-}
 
 fn bench_telemetry(c: &mut Criterion) {
-    let base = built_sim();
-    // Metric registration is a one-time setup cost; build each variant
-    // outside the timed loop so the iterations measure stepping only.
-    let null_sim = {
-        let mut sim = base.clone();
-        sim.enable_telemetry_sink(TelemetrySink::Null);
-        sim
-    };
+    let base = slice_sim();
+    // Metric registration is a one-time setup cost; build the recording
+    // variant outside the timed loop so the iterations measure stepping
+    // only.
     let ring_sim = {
         let mut sim = base.clone();
         sim.enable_telemetry(1 << 16);
@@ -52,9 +22,6 @@ fn bench_telemetry(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("baseline", |b| {
         b.iter(|| black_box(run_slice(base.clone())))
-    });
-    group.bench_function("null_sink", |b| {
-        b.iter(|| black_box(run_slice(null_sim.clone())))
     });
     group.bench_function("ring_sink", |b| {
         b.iter(|| black_box(run_slice(ring_sim.clone())))

@@ -1,54 +1,30 @@
-//! Benchmarks of the span-tracing fast path: the same attacked
-//! simulation slice run with tracing disabled (baseline), with a
-//! `Null` span sink (tracer installed, every span hook gated off), and
-//! with a live ring sink. The acceptance target is that the null path
-//! stays within a few percent of baseline — installing the tracer must
-//! not tax the simulator's hot loop when nobody is recording.
+//! Benchmarks of span tracing: the same attacked simulation slice run
+//! with tracing off (baseline: the simulator owns no tracer) and with a
+//! live ring recorder, so the cost of tracing stays visible.
 
 use attack::scenario::{AttackScenario, AttackStyle};
 use attack::virus::VirusClass;
 use criterion::{criterion_group, criterion_main, Criterion};
-use pad::schemes::Scheme;
-use pad::sim::{ClusterSim, SimConfig};
-use simkit::time::{SimDuration, SimTime};
-use simkit::trace::SpanSink;
+use pad::sim::ClusterSim;
+use pad_bench::{run_slice, slice_sim};
+use simkit::time::SimTime;
 use std::hint::black_box;
 use std::time::Duration;
-use workload::synth::SynthConfig;
 
 fn built_sim() -> ClusterSim {
-    let config = SimConfig::small_test(Scheme::Pad);
-    let trace = SynthConfig {
-        machines: config.topology.total_servers(),
-        horizon: SimTime::from_mins(10),
-        mean_utilization: 0.6,
-        ..SynthConfig::small_test()
-    }
-    .generate_direct(11);
-    let mut sim = ClusterSim::new(config, trace).expect("valid config");
-    // Attack the slice so the traced variants actually open and close
-    // episode spans — an idle cluster would make the ring sink look free.
+    let mut sim = slice_sim();
+    // Attack the slice so the traced variant actually opens and closes
+    // episode spans — an idle cluster would make the ring look free.
     let scenario = AttackScenario::new(AttackStyle::Dense, VirusClass::CpuIntensive, 2);
     sim.set_attack(scenario, sim.most_vulnerable_rack(), SimTime::ZERO);
     sim
 }
 
-fn run_slice(mut sim: ClusterSim) -> ClusterSim {
-    for _ in 0..50 {
-        sim.step(SimDuration::from_millis(100));
-    }
-    sim
-}
-
 fn bench_trace(c: &mut Criterion) {
     let base = built_sim();
-    // Tracer installation is a one-time setup cost; build each variant
-    // outside the timed loop so the iterations measure stepping only.
-    let null_sim = {
-        let mut sim = base.clone();
-        sim.enable_tracing_sink(SpanSink::Null);
-        sim
-    };
+    // Tracer installation is a one-time setup cost; build the traced
+    // variant outside the timed loop so the iterations measure stepping
+    // only.
     let ring_sim = {
         let mut sim = base.clone();
         sim.enable_tracing(1 << 16);
@@ -59,9 +35,6 @@ fn bench_trace(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("trace_baseline", |b| {
         b.iter(|| black_box(run_slice(base.clone())))
-    });
-    group.bench_function("trace_null_sink", |b| {
-        b.iter(|| black_box(run_slice(null_sim.clone())))
     });
     group.bench_function("trace_ring_sink", |b| {
         b.iter(|| black_box(run_slice(ring_sim.clone())))

@@ -31,7 +31,7 @@ use pad::mc::{
     ModelConfig, VdebModel, INVARIANTS,
 };
 use pad::pipeline::PipelineConfig;
-use pad::prof::{extract_json_number, gate_check, perf_schema, PerfReport, SimProfile};
+use pad::prof::{baseline_throughput, gate_check, perf_schema, PerfReport, SimProfile};
 use pad::schemes::Scheme;
 use pad::sim::{ClusterSim, EmergencyAction, SimConfig};
 use pad::sweep::{AttackSpec, ConfigSweep, SurvivalCase, Victim};
@@ -1736,9 +1736,9 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
             Ok(text) => text,
             Err(e) => fail(&format!("cannot read {}: {e}", path.display())),
         };
-        let base = extract_json_number(&text, "rack_hours_per_wall_sec").unwrap_or_else(|| {
+        let base = baseline_throughput(&text).unwrap_or_else(|e| {
             fail(&format!(
-                "{} carries no rack_hours_per_wall_sec figure",
+                "{} carries no throughput.rack_hours_per_wall_sec figure: {e}",
                 path.display()
             ))
         });

@@ -269,7 +269,8 @@ impl SimFaults {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid plan spec or config
+    /// Returns a description of the first invalid plan spec (including
+    /// a spec that targets a rack the cluster does not have) or config
     /// field.
     pub fn new(
         plan: FaultPlan,
@@ -280,8 +281,17 @@ impl SimFaults {
     ) -> Result<SimFaults, String> {
         plan.validate()?;
         config.validate()?;
-        let root = RngStream::new(seed).fork("faults");
         let racks = socs.len();
+        for (i, spec) in plan.specs().iter().enumerate() {
+            if let FaultTarget::Unit(u) = spec.target {
+                if u >= racks {
+                    return Err(format!(
+                        "spec {i}: target rack {u} is out of range for a {racks}-rack cluster"
+                    ));
+                }
+            }
+        }
+        let root = RngStream::new(seed).fork("faults");
         let unit_rngs = (0..plan.len())
             .map(|i| {
                 // The spec fork exists so adding racks never perturbs
@@ -1048,12 +1058,43 @@ mod tests {
             DegradedConfig::default(),
             1,
             SimTime::ZERO,
-            &[1.0],
+            &[1.0, 1.0],
         )
         .unwrap();
         let json = f.report().to_json();
         assert!(json.starts_with("{\"plan\":\"ci-smoke\""));
         assert!(json.contains("\"specs\":5"));
         assert!(json.contains("\"fallback_ticks\":0"));
+    }
+
+    #[test]
+    fn out_of_range_targets_are_rejected() {
+        let plan = FaultPlan::new("bad")
+            .with(FaultSpec::new(
+                FaultKind::MsgLoss { p: 0.5 },
+                FaultTarget::All,
+                SimTime::ZERO,
+                SimTime::from_secs(10),
+            ))
+            .with(FaultSpec::new(
+                FaultKind::ComponentOutage,
+                FaultTarget::Unit(99),
+                SimTime::ZERO,
+                SimTime::from_secs(10),
+            ));
+        let socs = [1.0; 22];
+        let err =
+            SimFaults::new(plan, DegradedConfig::default(), 1, SimTime::ZERO, &socs).unwrap_err();
+        assert!(err.starts_with("spec 1:"), "{err}");
+        assert!(err.contains("rack 99"), "{err}");
+        assert!(err.contains("22-rack"), "{err}");
+        // The last rack is in range.
+        let plan = FaultPlan::new("edge").with(FaultSpec::new(
+            FaultKind::ComponentOutage,
+            FaultTarget::Unit(21),
+            SimTime::ZERO,
+            SimTime::from_secs(10),
+        ));
+        assert!(SimFaults::new(plan, DegradedConfig::default(), 1, SimTime::ZERO, &socs).is_ok());
     }
 }

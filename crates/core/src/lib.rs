@@ -55,7 +55,7 @@
 //! * [`pipeline`] — the shared detect-and-policy replay pipeline behind
 //!   `padsim detect --replay` and the `padsimd` streaming daemon;
 //! * [`schemes`] — the six evaluated schemes of Table III;
-//! * [`prof`] — Null-gated performance self-profiling of the simulator
+//! * [`prof`] — performance self-profiling of the simulator
 //!   hot loop (step-phase timers, rack-seconds throughput accounting,
 //!   and the `perf_report.json` the CI regression gate reads);
 //! * [`sim`] — the trace-driven cluster simulator (Fig. 11-B);

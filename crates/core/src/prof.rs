@@ -2,8 +2,8 @@
 //!
 //! This is the pad-specific layer over [`simkit::prof`]: the named
 //! stages of [`crate::sim::ClusterSim::step`] as a fixed [`StepPhase`]
-//! vocabulary, the [`SimProfiler`] the simulator drives behind a
-//! Null-gated fast path (like telemetry and tracing), the merged
+//! vocabulary, the [`SimProfiler`] the simulator owns while profiling
+//! is on (like telemetry and tracing, it is absent otherwise), the merged
 //! [`SimProfile`] a profiled run yields, and the [`PerfReport`] the
 //! `padsim perf` subcommand serializes (pinned by
 //! `tests/data/perf_schema.txt` and gated in CI against a checked-in
@@ -18,6 +18,7 @@
 
 use std::time::Duration;
 
+use simkit::jsonio::{JsonParser, ObjFields as _};
 use simkit::prof::{PhaseId, PhaseProfile, ProfDump, Profiler, Throughput};
 use simkit::sweep::{SweepProfile, WorkerProfile};
 use simkit::time::SimDuration;
@@ -108,7 +109,9 @@ pub struct SimProfiler {
 }
 
 impl SimProfiler {
-    fn with(mut prof: Profiler, rack_count: usize) -> Self {
+    /// A recording profiler over a `rack_count`-rack simulator.
+    pub fn new(rack_count: usize) -> Self {
+        let mut prof = Profiler::new();
         let ids = StepPhase::ALL.map(|p| prof.register(p.name()));
         let total_id = prof.register(STEP_TOTAL);
         SimProfiler {
@@ -119,23 +122,6 @@ impl SimProfiler {
             steps: 0,
             rack_seconds: 0.0,
         }
-    }
-
-    /// A recording profiler over a `rack_count`-rack simulator.
-    pub fn live(rack_count: usize) -> Self {
-        SimProfiler::with(Profiler::live(), rack_count)
-    }
-
-    /// A disabled profiler: same phase vocabulary, every hook a single
-    /// branch.
-    pub fn null(rack_count: usize) -> Self {
-        SimProfiler::with(Profiler::null(), rack_count)
-    }
-
-    /// Whether laps are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.prof.enabled()
     }
 
     /// Records one lap against `phase`.
@@ -504,17 +490,18 @@ pub fn gate_check(current: f64, baseline: f64, gate_pct: f64) -> Result<f64, Str
     }
 }
 
-/// Pulls one numeric field out of a JSON document by key (enough JSON
-/// awareness to read a throughput figure back out of a checked-in
-/// `perf_baseline.json` without a full parser).
-pub fn extract_json_number(text: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let at = text.find(&pattern)? + pattern.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads the gate's figure, `throughput.rack_hours_per_wall_sec`, out
+/// of a perf report or a checked-in `perf_baseline.json`.
+///
+/// # Errors
+///
+/// Returns a description when the text is not a JSON document or lacks
+/// the numeric field.
+pub fn baseline_throughput(text: &str) -> Result<f64, String> {
+    JsonParser::parse_document(text)?
+        .as_object("baseline")?
+        .obj_field("throughput")?
+        .f64_field("rack_hours_per_wall_sec")
 }
 
 #[cfg(test)]
@@ -523,7 +510,7 @@ mod tests {
 
     #[test]
     fn phase_vocabulary_is_stable() {
-        let profiler = SimProfiler::live(4);
+        let profiler = SimProfiler::new(4);
         let profile = profiler.into_profile();
         let names: Vec<&str> = profile
             .phases
@@ -537,19 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn null_profiler_accounts_nothing() {
-        let mut profiler = SimProfiler::null(4);
-        profiler.record_phase(StepPhase::Attack, Duration::from_millis(1));
-        profiler.finish_step(SimDuration::from_millis(100), None);
-        let profile = profiler.into_profile();
-        assert_eq!(profile.steps, 0);
-        assert_eq!(profile.rack_seconds, 0.0);
-        assert_eq!(profile.step_wall(), Duration::ZERO);
-    }
-
-    #[test]
     fn rack_seconds_accumulate_per_step() {
-        let mut profiler = SimProfiler::live(22);
+        let mut profiler = SimProfiler::new(22);
         for _ in 0..10 {
             profiler.finish_step(
                 SimDuration::from_millis(100),
@@ -564,7 +540,7 @@ mod tests {
 
     #[test]
     fn coverage_is_lap_sum_over_step_total() {
-        let mut profiler = SimProfiler::live(2);
+        let mut profiler = SimProfiler::new(2);
         profiler.record_phase(StepPhase::Attack, Duration::from_micros(60));
         profiler.record_phase(StepPhase::Battery, Duration::from_micros(38));
         profiler.finish_step(
@@ -586,11 +562,17 @@ mod tests {
 
     #[test]
     fn json_number_extraction() {
-        let text = "{\"a\":{\"rack_hours_per_wall_sec\":12.5,\"x\":1}}";
-        assert_eq!(
-            extract_json_number(text, "rack_hours_per_wall_sec"),
-            Some(12.5)
-        );
-        assert_eq!(extract_json_number(text, "missing"), None);
+        let text = "{\"a\":1,\"throughput\":{\"x\":[1,2],\"rack_hours_per_wall_sec\":12.5}}";
+        assert_eq!(baseline_throughput(text), Ok(12.5));
+        // A same-named field elsewhere in the document is not the gate's.
+        let text = "{\"rack_hours_per_wall_sec\":3,\"throughput\":{}}";
+        assert!(baseline_throughput(text).unwrap_err().contains("missing"));
+        assert!(baseline_throughput("not json").is_err());
+    }
+
+    #[test]
+    fn checked_in_baseline_parses_to_its_floor() {
+        let text = include_str!("../../../bench/baselines/perf_baseline.json");
+        assert_eq!(baseline_throughput(text), Ok(16.0));
     }
 }

@@ -41,17 +41,18 @@ use powerinfra::pdu::{Pdu, PduConfig};
 use powerinfra::rack::Rack;
 use powerinfra::server::ServerSpec;
 use powerinfra::topology::{ClusterTopology, RackId};
+use simkit::detect::FusedVerdict;
 use simkit::fault::{FaultKind, FaultPlan, FaultTarget};
 use simkit::log::{EventLog, Severity};
 use simkit::prof::LapTimer;
 use simkit::rng::RngStream;
-use simkit::telemetry::{EventKind, RingRecorder, TelemetryDump, TelemetrySink};
+use simkit::telemetry::{EventKind, TelemetryDump};
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::{RingSpanRecorder, SpanSink, TraceDump};
+use simkit::trace::TraceDump;
 use workload::trace::ClusterTrace;
 
 use crate::detect::{DetectConfig, SimDetectors};
-use crate::fault::{DegradedConfig, SimFaults};
+use crate::fault::{DegradedConfig, FaultEdge, SimFaults};
 use crate::metrics::{OverloadEvent, SocHistory, SurvivalReport};
 use crate::migration::LoadMigrator;
 use crate::policy::{DetectionEvidence, PolicyInputs, SecurityLevel, SecurityPolicy, Strictness};
@@ -280,6 +281,44 @@ struct AttackState {
     escalation: Option<SimDuration>,
 }
 
+/// One forensic event raised inside [`ClusterSim::step`], carrying only
+/// its payload. [`ClusterSim::emit`] derives the rest — log severity,
+/// source and message, the telemetry event, and the span hook — so each
+/// event is described in exactly one place.
+#[derive(Debug, Clone, Copy)]
+enum SimEvent {
+    /// A fault window opened or closed.
+    Fault(FaultEdge),
+    /// A rack entered (or left) watchdog fallback.
+    Fallback { rack: usize, entered: bool },
+    /// A rack feed breaker tripped.
+    RackTrip(usize),
+    /// The cluster feed breaker tripped.
+    PduTrip,
+    /// The step's first overload excursion.
+    Overload(OverloadEvent),
+    /// The operator engaged the protective cluster-wide cap.
+    ProtectiveCap,
+    /// The PAD policy changed level.
+    LevelChange {
+        from: SecurityLevel,
+        to: SecurityLevel,
+    },
+    /// Level 3 migrated this much load off vulnerable racks.
+    Migration(Watts),
+    /// Level 3 shedding now keeps this many servers asleep.
+    Shed(usize),
+    /// Shedding ended and every server woke.
+    Wake,
+    /// A rack's low-voltage disconnect isolated its battery.
+    LvdIsolation(usize),
+    /// The fused detector verdict fired.
+    DetectorFired {
+        fused: FusedVerdict,
+        confirm_votes: usize,
+    },
+}
+
 /// The trace-driven cluster simulator.
 ///
 /// # Example
@@ -344,8 +383,8 @@ pub struct ClusterSim {
     detectors: Option<SimDetectors>,
     /// Causal sim-time span tracing, when enabled.
     tracer: Option<SimTracer>,
-    /// Performance self-profiler, if enabled (Null-gated like telemetry
-    /// and tracing; reads the wall clock only, never sim state).
+    /// Performance self-profiler, when enabled (reads the wall clock
+    /// only, never sim state).
     prof: Option<SimProfiler>,
     /// Fault injection and degraded-mode control plane, when enabled.
     faults: Option<SimFaults>,
@@ -548,23 +587,11 @@ impl ClusterSim {
     /// records (oldest records are evicted once full; the eviction count
     /// is carried into the final dump).
     pub fn enable_telemetry(&mut self, ring_capacity: usize) {
-        self.enable_telemetry_sink(TelemetrySink::Ring(RingRecorder::new(ring_capacity)));
-    }
-
-    /// Enables telemetry into an explicit sink. With
-    /// [`TelemetrySink::Null`] only registry aggregates and event
-    /// counters are maintained — the per-tick gauge loop is skipped.
-    pub fn enable_telemetry_sink(&mut self, sink: TelemetrySink) {
         self.telemetry = Some(SimTelemetry::new(
             self.racks.len(),
             self.config.rack_nameplate().0,
-            sink,
+            ring_capacity,
         ));
-    }
-
-    /// The live telemetry state, if enabled.
-    pub fn telemetry(&self) -> Option<&SimTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Takes the telemetry state out as a serializable dump (sorted into
@@ -596,19 +623,7 @@ impl ClusterSim {
     /// spans (oldest spans are evicted once full; the eviction count is
     /// carried into the final dump).
     pub fn enable_tracing(&mut self, ring_capacity: usize) {
-        self.enable_tracing_sink(SpanSink::Ring(RingSpanRecorder::new(ring_capacity)));
-    }
-
-    /// Enables span tracing into an explicit sink. With
-    /// [`SpanSink::Null`] the tracer is inert and the per-tick span
-    /// bookkeeping is skipped entirely.
-    pub fn enable_tracing_sink(&mut self, sink: SpanSink) {
-        self.tracer = Some(SimTracer::new(self.racks.len(), sink, self.now));
-    }
-
-    /// The live span tracer, if enabled.
-    pub fn tracing(&self) -> Option<&SimTracer> {
-        self.tracer.as_ref()
+        self.tracer = Some(SimTracer::new(self.racks.len(), ring_capacity, self.now));
     }
 
     /// Takes the span trace out as a dump, closing still-open spans at
@@ -624,20 +639,7 @@ impl ClusterSim {
     /// monotonic clock — enabling it does not perturb any simulation
     /// output byte.
     pub fn enable_profiling(&mut self) {
-        self.prof = Some(SimProfiler::live(self.racks.len()));
-    }
-
-    /// Installs an explicit profiler instance. With
-    /// [`SimProfiler::null`] every hot-loop hook stays a single branch
-    /// and nothing is recorded — the disabled-path cost the prof bench
-    /// asserts stays within 5% of an uninstrumented run.
-    pub fn enable_profiler(&mut self, profiler: SimProfiler) {
-        self.prof = Some(profiler);
-    }
-
-    /// The live profiler, if enabled.
-    pub fn profiling(&self) -> Option<&SimProfiler> {
-        self.prof.as_ref()
+        self.prof = Some(SimProfiler::new(self.racks.len()));
     }
 
     /// Takes the profiler out as its serializable profile. Profiling is
@@ -828,6 +830,145 @@ impl ClusterSim {
         }
     }
 
+    /// Records one forensic event: the log line, the telemetry event
+    /// (when telemetry is on; it also bumps the matching counter), and
+    /// the span hook (when tracing is on).
+    #[cold]
+    fn emit(&mut self, now: SimTime, event: SimEvent) {
+        use EventKind as K;
+        use Severity::{Critical, Info, Warning};
+        let rack = |r: usize| RackId(r).to_string();
+        let (severity, source, message, recorded): (_, String, String, _) = match event {
+            SimEvent::Fault(e) => {
+                let (source, unit) = match e.target {
+                    FaultTarget::Unit(u) => (rack(u), u as f64),
+                    FaultTarget::All => ("cluster".into(), -1.0),
+                };
+                if let Some(tr) = &mut self.tracer {
+                    tr.fault_window(now, e.spec, e.kind.index(), unit, e.injected);
+                }
+                let (severity, kind, what) = if e.injected {
+                    (Warning, K::FaultInjected, "injected")
+                } else {
+                    (Info, K::FaultCleared, "cleared")
+                };
+                let message = format!("fault {what}: {}", e.kind);
+                (severity, source, message, Some((kind, e.spec as f64)))
+            }
+            SimEvent::Fallback { rack: r, entered } => {
+                if let Some(tr) = &mut self.tracer {
+                    tr.fault_fallback(now, r, entered);
+                }
+                let (severity, message) = if entered {
+                    (
+                        Warning,
+                        "coordinator plan stale - falling back to local control",
+                    )
+                } else {
+                    (Info, "coordinator plan fresh again - fallback cleared")
+                };
+                (severity, rack(r), message.into(), None)
+            }
+            SimEvent::RackTrip(r) => {
+                let message = "feed breaker tripped - rack dark until operator reset";
+                (
+                    Critical,
+                    rack(r),
+                    message.into(),
+                    Some((K::BreakerTrip, 1.0)),
+                )
+            }
+            SimEvent::PduTrip => {
+                let message = "cluster feed breaker tripped";
+                (
+                    Critical,
+                    "pdu".into(),
+                    message.into(),
+                    Some((K::BreakerTrip, 1.0)),
+                )
+            }
+            SimEvent::Overload(event) => {
+                let source = event.rack.map_or("cluster feed".into(), |r| r.to_string());
+                let (draw, limit) = (event.draw.0, event.limit.0);
+                let message = format!("overload: draw {draw:.0} exceeded limit {limit:.0}");
+                (Critical, source, message, Some((K::Overload, draw)))
+            }
+            SimEvent::ProtectiveCap => {
+                let message = "protective cluster-wide 20% cap engaged (3 min)";
+                (
+                    Warning,
+                    "operator".into(),
+                    message.into(),
+                    Some((K::ProtectiveCap, 1.0)),
+                )
+            }
+            SimEvent::LevelChange { from, to } => {
+                let severity = if to > from { Warning } else { Info };
+                let recorded = Some((K::LevelChange, to.number() as f64));
+                (
+                    severity,
+                    "policy".into(),
+                    format!("{from} -> {to}"),
+                    recorded,
+                )
+            }
+            SimEvent::Migration(moved) => {
+                let message = format!("migrating {:.0} W of load off vulnerable racks", moved.0);
+                (
+                    Critical,
+                    "migrator".into(),
+                    message,
+                    Some((K::Migration, moved.0)),
+                )
+            }
+            SimEvent::Shed(asleep) => {
+                let percent = asleep as f64 / self.config.topology.total_servers() as f64 * 100.0;
+                let message = format!(
+                    "load shedding: {asleep} servers asleep ({percent:.1}% of the cluster)"
+                );
+                (
+                    Critical,
+                    "shedder".into(),
+                    message,
+                    Some((K::Shed, asleep as f64)),
+                )
+            }
+            SimEvent::Wake => {
+                let message = "all servers woken";
+                (Info, "shedder".into(), message.into(), Some((K::Wake, 1.0)))
+            }
+            SimEvent::LvdIsolation(r) => {
+                let message =
+                    "battery isolated by low-voltage disconnect (vulnerability window open)";
+                (
+                    Warning,
+                    rack(r),
+                    message.into(),
+                    Some((K::LvdIsolation, 1.0)),
+                )
+            }
+            SimEvent::DetectorFired {
+                fused,
+                confirm_votes,
+            } => {
+                let (votes, score) = (fused.votes, fused.score);
+                let message =
+                    format!("fused detector verdict fired ({votes} votes, score {score:.2})");
+                let severity = fused.severity(confirm_votes);
+                (
+                    severity,
+                    "detect".into(),
+                    message,
+                    Some((K::DetectorFired, score)),
+                )
+            }
+        };
+        if let (Some(t), Some((kind, value))) = (&mut self.telemetry, recorded) {
+            t.event(now, kind, &source, value);
+        }
+        self.log.record(now, severity, source, message);
+    }
+
     /// Advances the simulation by one step of `dt`. Returns the overload
     /// event observed during the step, if any (the first one).
     pub fn step(&mut self, dt: SimDuration) -> Option<OverloadEvent> {
@@ -835,74 +976,36 @@ impl ClusterSim {
         let n = self.racks.len();
         let budget = self.config.rack_budget();
         let tol = 1.0 + self.config.overshoot_tolerance;
-        // Whether the per-tick gauge series are being retained; typed
-        // events and counters are recorded whenever telemetry is enabled
-        // at all, but the heavy per-rack loop only runs for live sinks.
-        let telemetry_on = self.telemetry.as_ref().is_some_and(SimTelemetry::recording);
+        // Whether the per-tick gauge series are being recorded.
+        let telemetry_on = self.telemetry.is_some();
         // Whether the streaming detector stack consumes the same per-tick
-        // readings (it does so even when no telemetry sink records them).
+        // readings (it does so even when telemetry is off).
         let detection_on = self.detectors.is_some();
-        // Whether causal span tracing is live; with a null span sink the
-        // tracer reports disabled and every span hook below is skipped.
-        let tracing_on = self.tracer.as_ref().is_some_and(SimTracer::enabled);
-        // Whether step-phase wall-clock laps are being recorded. The lap
-        // clock tiles the step: each boundary below attributes the time
-        // since the previous boundary to the stage that just ran, so the
-        // per-phase totals sum to the measured step wall time.
-        let prof_on = self.prof.as_ref().is_some_and(SimProfiler::enabled);
-        let mut lap = LapTimer::start(prof_on);
+        // Step-phase wall-clock laps, when profiling. The lap clock tiles
+        // the step: each boundary below attributes the time since the
+        // previous boundary to the stage that just ran, so the per-phase
+        // totals sum to the measured step wall time.
+        let mut lap = LapTimer::start(self.prof.is_some());
 
         // 0a. Fault windows: detect opens/closes on the injected plan,
         // emit forensic events (so incident reconstruction can attribute
         // outages to faults vs attacks), and apply/restore component
         // faults exactly on the edge. With no injector installed this
         // whole stage is one branch.
-        if let Some(f) = &mut self.faults {
-            for e in f.begin_step(now) {
-                let source = match e.target {
-                    FaultTarget::Unit(u) if u < n => RackId(u).to_string(),
-                    _ => "cluster".to_string(),
-                };
-                let (event_kind, severity, what) = if e.injected {
-                    (
-                        EventKind::FaultInjected,
-                        Severity::Warning,
-                        "fault injected",
-                    )
-                } else {
-                    (EventKind::FaultCleared, Severity::Info, "fault cleared")
-                };
-                self.log.record(
-                    now,
-                    severity,
-                    source.clone(),
-                    format!("{}: {}", what, e.kind),
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, event_kind, &source, e.spec as f64);
-                }
-                if tracing_on {
-                    if let Some(tr) = &mut self.tracer {
-                        let rack = match e.target {
-                            FaultTarget::Unit(u) => u as f64,
-                            FaultTarget::All => -1.0,
-                        };
-                        tr.fault_window(now, e.spec, e.kind.index(), rack, e.injected);
-                    }
-                }
-                if matches!(
-                    e.kind,
-                    FaultKind::ComponentDerate { .. } | FaultKind::CapacityFade { .. }
-                ) {
-                    // Recompute from scratch so overlapping windows
-                    // compose (most severe wins) and clears restore the
-                    // next-most-severe factor, not blindly 1.0.
-                    for (r, rack) in self.racks.iter_mut().enumerate() {
-                        if e.target.covers(r) {
-                            rack.breaker_mut().set_derate(f.breaker_derate(now, r));
-                            rack.cabinet_mut()
-                                .set_capacity_factor(f.capacity_factor(now, r));
-                        }
+        let edges = self.faults.as_mut().map(|f| f.begin_step(now));
+        for e in edges.into_iter().flatten() {
+            self.emit(now, SimEvent::Fault(e));
+            if let (FaultKind::ComponentDerate { .. } | FaultKind::CapacityFade { .. }, Some(f)) =
+                (e.kind, &self.faults)
+            {
+                // Recompute from scratch so overlapping windows compose
+                // (most severe wins) and clears restore the
+                // next-most-severe factor, not blindly 1.0.
+                for (r, rack) in self.racks.iter_mut().enumerate() {
+                    if e.target.covers(r) {
+                        rack.breaker_mut().set_derate(f.breaker_derate(now, r));
+                        rack.cabinet_mut()
+                            .set_capacity_factor(f.capacity_factor(now, r));
                     }
                 }
             }
@@ -958,10 +1061,8 @@ impl ClusterSim {
                     a.slots.push(next);
                 }
             }
-            if tracing_on {
-                if let Some(tr) = &mut self.tracer {
-                    tr.attack_phase(now, ai, a.victim.0, a.slots.len(), phase);
-                }
+            if let Some(tr) = &mut self.tracer {
+                tr.attack_phase(now, ai, a.victim.0, a.slots.len(), phase);
             }
             let rack = &mut self.racks[a.victim.0];
             let drive = match phase {
@@ -1145,29 +1246,15 @@ impl ClusterSim {
         // recharge loop, and the policy below.
         let mut fallback_cap: Vec<Option<Watts>> = Vec::new();
         let mut udeb_out: Vec<bool> = Vec::new();
+        let watchdog_edges = match &mut self.faults {
+            Some(f) if self.config.scheme.has_vdeb() => f.watchdog_tick(now, &self.held),
+            _ => Vec::new(),
+        };
+        for (rack, entered) in watchdog_edges {
+            self.emit(now, SimEvent::Fallback { rack, entered });
+        }
         if let Some(f) = &mut self.faults {
             if self.config.scheme.has_vdeb() {
-                for (r, entered) in f.watchdog_tick(now, &self.held) {
-                    self.log.record(
-                        now,
-                        if entered {
-                            Severity::Warning
-                        } else {
-                            Severity::Info
-                        },
-                        RackId(r).to_string(),
-                        if entered {
-                            "coordinator plan stale - falling back to local control"
-                        } else {
-                            "coordinator plan fresh again - fallback cleared"
-                        },
-                    );
-                    if tracing_on {
-                        if let Some(tr) = &mut self.tracer {
-                            tr.fault_fallback(now, r, entered);
-                        }
-                    }
-                }
                 // Only materialize the per-rack cap map while some rack
                 // is actually in fallback; an empty map reads as "no cap
                 // anywhere" below, keeping the healthy path allocation-free.
@@ -1294,15 +1381,7 @@ impl ClusterSim {
             self.racks[r].breaker_mut().step(draw, dt);
             if !was_tripped && self.racks[r].breaker().is_tripped() {
                 self.breaker_trips += 1;
-                self.log.record(
-                    now,
-                    Severity::Critical,
-                    RackId(r).to_string(),
-                    "feed breaker tripped - rack dark until operator reset",
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::BreakerTrip, &RackId(r).to_string(), 1.0);
-                }
+                self.emit(now, SimEvent::RackTrip(r));
             }
         }
         let cluster_limit = self.pdu.config().budget * tol;
@@ -1325,45 +1404,14 @@ impl ClusterSim {
         self.pdu.step(cluster_draw, dt);
         if !pdu_was_tripped && self.pdu.breaker().is_tripped() {
             self.breaker_trips += 1;
-            self.log.record(
-                now,
-                Severity::Critical,
-                "pdu",
-                "cluster feed breaker tripped",
-            );
-            if let Some(t) = &mut self.telemetry {
-                t.event(now, EventKind::BreakerTrip, "pdu", 1.0);
-            }
+            self.emit(now, SimEvent::PduTrip);
         }
         if let Some(event) = first_overload {
-            let where_ = event
-                .rack
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "cluster feed".to_string());
-            self.log.record(
-                now,
-                Severity::Critical,
-                where_.clone(),
-                format!(
-                    "overload: draw {:.0} exceeded limit {:.0}",
-                    event.draw.0, event.limit.0
-                ),
-            );
-            if let Some(t) = &mut self.telemetry {
-                t.event(now, EventKind::Overload, &where_, event.draw.0);
-            }
+            self.emit(now, SimEvent::Overload(event));
         }
         if self.config.protective_response && first_overload.is_some() {
             if self.protective_until.is_none_or(|until| now >= until) {
-                self.log.record(
-                    now,
-                    Severity::Warning,
-                    "operator",
-                    "protective cluster-wide 20% cap engaged (3 min)",
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::ProtectiveCap, "operator", 1.0);
-                }
+                self.emit(now, SimEvent::ProtectiveCap);
             }
             self.protective_until = Some(now + SimDuration::from_mins(3));
         }
@@ -1496,21 +1544,8 @@ impl ClusterSim {
             };
             let level = self.policy.update(inputs);
             if level != self.seen_level {
-                let severity = if level > self.seen_level {
-                    Severity::Warning
-                } else {
-                    Severity::Info
-                };
-                self.log.record(
-                    now,
-                    severity,
-                    "policy",
-                    format!("{} -> {}", self.seen_level, level),
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::LevelChange, "policy", level.number() as f64);
-                }
-                self.seen_level = level;
+                let from = std::mem::replace(&mut self.seen_level, level);
+                self.emit(now, SimEvent::LevelChange { from, to: level });
             }
             let pool_soc = self.vdeb.pool_soc(&socs);
             let shortfall = (cluster_draw - self.pdu.config().budget).clamp_non_negative();
@@ -1543,18 +1578,7 @@ impl ClusterSim {
                             self.config.topology.servers_per_rack(),
                         );
                         if !plan.is_noop() {
-                            self.log.record(
-                                now,
-                                Severity::Critical,
-                                "migrator",
-                                format!(
-                                    "migrating {:.0} W of load off vulnerable racks",
-                                    plan.moved.0
-                                ),
-                            );
-                            if let Some(t) = &mut self.telemetry {
-                                t.event(now, EventKind::Migration, "migrator", plan.moved.0);
-                            }
+                            self.emit(now, SimEvent::Migration(plan.moved));
                             for (r, &d) in plan.deltas.iter().enumerate() {
                                 self.migration_offsets[r] += d;
                             }
@@ -1571,20 +1595,8 @@ impl ClusterSim {
                         self.racks[r].shed_servers(count);
                     }
                     if plan.total() != self.seen_shed {
-                        self.log.record(
-                            now,
-                            Severity::Critical,
-                            "shedder",
-                            format!(
-                                "load shedding: {} servers asleep ({:.1}% of the cluster)",
-                                plan.total(),
-                                plan.ratio(self.config.topology.total_servers()) * 100.0
-                            ),
-                        );
-                        if let Some(t) = &mut self.telemetry {
-                            t.event(now, EventKind::Shed, "shedder", plan.total() as f64);
-                        }
                         self.seen_shed = plan.total();
+                        self.emit(now, SimEvent::Shed(plan.total()));
                     }
                 }
             } else {
@@ -1595,12 +1607,8 @@ impl ClusterSim {
                     }
                 }
                 if was_shedding {
-                    self.log
-                        .record(now, Severity::Info, "shedder", "all servers woken");
-                    if let Some(t) = &mut self.telemetry {
-                        t.event(now, EventKind::Wake, "shedder", 1.0);
-                    }
                     self.seen_shed = 0;
+                    self.emit(now, SimEvent::Wake);
                 }
                 // Migrated load trickles back home once the emergency
                 // passes (a slow, non-disruptive re-balance). The decay
@@ -1639,15 +1647,7 @@ impl ClusterSim {
             let count = self.racks[r].cabinet().disconnect_count();
             if count > self.seen_disconnects[r] {
                 self.seen_disconnects[r] = count;
-                self.log.record(
-                    now,
-                    Severity::Warning,
-                    RackId(r).to_string(),
-                    "battery isolated by low-voltage disconnect (vulnerability window open)",
-                );
-                if let Some(t) = &mut self.telemetry {
-                    t.event(now, EventKind::LvdIsolation, &RackId(r).to_string(), 1.0);
-                }
+                self.emit(now, SimEvent::LvdIsolation(r));
             }
         }
 
@@ -1672,37 +1672,29 @@ impl ClusterSim {
                     cap_duty: self.cappers[r].current(),
                     breaker_margin: self.racks[r].breaker().thermal_headroom(),
                 };
-                if telemetry_on {
-                    if let Some(t) = &mut self.telemetry {
-                        t.record_rack(now, r, tick);
-                    }
+                if let Some(t) = &mut self.telemetry {
+                    t.record_rack(now, r, tick);
                 }
                 if let Some(d) = &mut self.detectors {
                     d.observe_rack(now, r, &tick);
                 }
             }
-            if telemetry_on {
-                if let Some(t) = &mut self.telemetry {
-                    t.record_cluster(now, cluster_draw.0, self.policy.level().number());
-                }
+            if let Some(t) = &mut self.telemetry {
+                t.record_cluster(now, cluster_draw.0, self.policy.level().number());
             }
-            if let Some(d) = &mut self.detectors {
+            let fired = self.detectors.as_mut().and_then(|d| {
                 d.observe_cluster(now, cluster_draw.0);
-                if let Some(fused) = d.end_tick(now) {
-                    let severity = fused.severity(d.config().confirm_votes);
-                    self.log.record(
-                        now,
-                        severity,
-                        "detect",
-                        format!(
-                            "fused detector verdict fired ({} votes, score {:.2})",
-                            fused.votes, fused.score
-                        ),
-                    );
-                    if let Some(t) = &mut self.telemetry {
-                        t.event(now, EventKind::DetectorFired, "detect", fused.score);
-                    }
-                }
+                let confirm_votes = d.config().confirm_votes;
+                d.end_tick(now).map(|fused| (fused, confirm_votes))
+            });
+            if let Some((fused, confirm_votes)) = fired {
+                self.emit(
+                    now,
+                    SimEvent::DetectorFired {
+                        fused,
+                        confirm_votes,
+                    },
+                );
             }
         }
 
@@ -1711,25 +1703,23 @@ impl ClusterSim {
         // µDEB shaving, effective DVFS cap, breaker-margin excursions)
         // and policy residencies open/close on value edges, parented
         // under the attack spans that caused them.
-        if tracing_on {
-            if let Some(tr) = &mut self.tracer {
-                for r in 0..n {
-                    let mut cap_factor = self.cappers[r].current();
-                    if protective {
-                        cap_factor = cap_factor.min(0.8);
-                    }
-                    tr.rack_tick(
-                        now,
-                        r,
-                        battery_shave[r].0,
-                        sc_shave[r].0,
-                        cap_factor,
-                        self.racks[r].breaker().thermal_headroom(),
-                        dt_secs,
-                    );
+        if let Some(tr) = &mut self.tracer {
+            for r in 0..n {
+                let mut cap_factor = self.cappers[r].current();
+                if protective {
+                    cap_factor = cap_factor.min(0.8);
                 }
-                tr.policy_level(now, self.policy.level());
+                tr.rack_tick(
+                    now,
+                    r,
+                    battery_shave[r].0,
+                    sc_shave[r].0,
+                    cap_factor,
+                    self.racks[r].breaker().thermal_headroom(),
+                    dt_secs,
+                );
             }
+            tr.policy_level(now, self.policy.level());
         }
 
         self.prof_lap(&mut lap, StepPhase::Telemetry);

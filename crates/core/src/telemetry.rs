@@ -5,7 +5,7 @@
 //! metric set once (registration order fixes the [`MetricId`] order, and
 //! the per-tick emission loop walks racks in the same order, so recorded
 //! streams are already in the canonical sort order), holds the interned
-//! ids, and owns the recording sink.
+//! ids, and owns the recording ring.
 //!
 //! # Metric naming
 //!
@@ -22,23 +22,21 @@
 //! source (`rack-NN`, `pdu`, `policy`, `shedder`, `migrator`,
 //! `operator`).
 
-use simkit::telemetry::{
-    EventKind, MetricId, MetricRegistry, Recorder, RingRecorder, TelemetryDump, TelemetrySink,
-};
+use simkit::telemetry::{EventKind, MetricId, MetricRegistry, RingRecorder, TelemetryDump};
 use simkit::time::SimTime;
 
-/// The interned per-rack gauge ids, one struct per rack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RackMetrics {
-    draw: MetricId,
-    soc: MetricId,
-    batt_discharge: MetricId,
-    batt_charge: MetricId,
-    udeb_energy: MetricId,
-    udeb_shave: MetricId,
-    cap_duty: MetricId,
-    breaker_margin: MetricId,
-}
+/// Per-rack gauge name suffixes, in registration (and emission) order:
+/// the order of [`RackTick::gauges`].
+const RACK_GAUGES: [&str; 8] = [
+    "draw_w",
+    "soc",
+    "batt_discharge_w",
+    "batt_charge_w",
+    "udeb_energy_j",
+    "udeb_shave_w",
+    "cap_duty",
+    "breaker_margin",
+];
 
 /// One rack's per-tick gauge readings, in engineering units.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -62,8 +60,24 @@ pub struct RackTick {
     pub breaker_margin: f64,
 }
 
+impl RackTick {
+    /// The readings in [`RACK_GAUGES`] order.
+    fn gauges(&self) -> [f64; RACK_GAUGES.len()] {
+        [
+            self.draw_w,
+            self.soc,
+            self.batt_discharge_w,
+            self.batt_charge_w,
+            self.udeb_energy_j,
+            self.udeb_shave_w,
+            self.cap_duty,
+            self.breaker_margin,
+        ]
+    }
+}
+
 /// The cluster simulator's telemetry state: registry, interned ids, and
-/// the recording sink.
+/// the recording ring.
 ///
 /// Construction registers every metric; the registry is immutable
 /// afterwards, which is what makes `MetricId` order (and therefore
@@ -71,8 +85,9 @@ pub struct RackTick {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimTelemetry {
     registry: MetricRegistry,
-    sink: TelemetrySink,
-    racks: Vec<RackMetrics>,
+    ring: RingRecorder,
+    /// The interned per-rack gauge ids, in [`RACK_GAUGES`] order.
+    racks: Vec<[MetricId; RACK_GAUGES.len()]>,
     cluster_draw: MetricId,
     policy_level: MetricId,
     overloads: MetricId,
@@ -80,26 +95,21 @@ pub struct SimTelemetry {
     level_changes: MetricId,
     shed_events: MetricId,
     draw_hist: MetricId,
-    dropped_hint: u64,
 }
 
 impl SimTelemetry {
     /// Registers the full metric set for a cluster of `racks` racks whose
     /// per-rack draw ranges up to `rack_nameplate_w` (histogram bounds),
-    /// recording into `sink`.
-    pub fn new(racks: usize, rack_nameplate_w: f64, sink: TelemetrySink) -> Self {
+    /// recording into a ring of `ring_capacity` records (oldest evicted
+    /// first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity` is zero.
+    pub fn new(racks: usize, rack_nameplate_w: f64, ring_capacity: usize) -> Self {
         let mut registry = MetricRegistry::new();
         let rack_ids = (0..racks)
-            .map(|r| RackMetrics {
-                draw: registry.register_gauge(&format!("rack-{r:02}.draw_w")),
-                soc: registry.register_gauge(&format!("rack-{r:02}.soc")),
-                batt_discharge: registry.register_gauge(&format!("rack-{r:02}.batt_discharge_w")),
-                batt_charge: registry.register_gauge(&format!("rack-{r:02}.batt_charge_w")),
-                udeb_energy: registry.register_gauge(&format!("rack-{r:02}.udeb_energy_j")),
-                udeb_shave: registry.register_gauge(&format!("rack-{r:02}.udeb_shave_w")),
-                cap_duty: registry.register_gauge(&format!("rack-{r:02}.cap_duty")),
-                breaker_margin: registry.register_gauge(&format!("rack-{r:02}.breaker_margin")),
-            })
+            .map(|r| RACK_GAUGES.map(|g| registry.register_gauge(&format!("rack-{r:02}.{g}"))))
             .collect();
         let hi = (rack_nameplate_w * 1.25).max(1.0);
         SimTelemetry {
@@ -112,18 +122,8 @@ impl SimTelemetry {
             shed_events: registry.register_counter("cluster.shed_events"),
             draw_hist: registry.register_histogram("rack.draw_w.hist", 0.0, hi, 50),
             registry,
-            sink,
-            dropped_hint: 0,
+            ring: RingRecorder::new(ring_capacity),
         }
-    }
-
-    /// Convenience: a ring-buffered telemetry state.
-    pub fn ring(racks: usize, rack_nameplate_w: f64, capacity: usize) -> Self {
-        SimTelemetry::new(
-            racks,
-            rack_nameplate_w,
-            TelemetrySink::Ring(RingRecorder::new(capacity)),
-        )
     }
 
     /// The metric registry (aggregates and the name table).
@@ -131,39 +131,16 @@ impl SimTelemetry {
         &self.registry
     }
 
-    /// `true` when the sink retains records (the per-tick gauge loop is
-    /// skipped entirely when this is `false`).
-    pub fn recording(&self) -> bool {
-        self.sink.enabled()
-    }
-
     /// Records one rack's per-tick gauges (and feeds the draw histogram).
     pub fn record_rack(&mut self, now: SimTime, rack: usize, tick: RackTick) {
-        let ids = self.racks[rack];
-        self.registry.set_gauge(ids.draw, tick.draw_w);
-        self.registry.set_gauge(ids.soc, tick.soc);
-        self.registry
-            .set_gauge(ids.batt_discharge, tick.batt_discharge_w);
-        self.registry.set_gauge(ids.batt_charge, tick.batt_charge_w);
-        self.registry.set_gauge(ids.udeb_energy, tick.udeb_energy_j);
-        self.registry.set_gauge(ids.udeb_shave, tick.udeb_shave_w);
-        self.registry.set_gauge(ids.cap_duty, tick.cap_duty);
-        self.registry
-            .set_gauge(ids.breaker_margin, tick.breaker_margin);
+        let gauges = self.racks[rack].iter().zip(tick.gauges());
+        for (&id, value) in gauges.clone() {
+            self.registry.set_gauge(id, value);
+        }
         self.registry.observe(self.draw_hist, tick.draw_w);
-        self.sink.record_sample(now, ids.draw, tick.draw_w);
-        self.sink.record_sample(now, ids.soc, tick.soc);
-        self.sink
-            .record_sample(now, ids.batt_discharge, tick.batt_discharge_w);
-        self.sink
-            .record_sample(now, ids.batt_charge, tick.batt_charge_w);
-        self.sink
-            .record_sample(now, ids.udeb_energy, tick.udeb_energy_j);
-        self.sink
-            .record_sample(now, ids.udeb_shave, tick.udeb_shave_w);
-        self.sink.record_sample(now, ids.cap_duty, tick.cap_duty);
-        self.sink
-            .record_sample(now, ids.breaker_margin, tick.breaker_margin);
+        for (&id, value) in gauges {
+            self.ring.record_sample(now, id, value);
+        }
     }
 
     /// Records the cluster-scope per-tick gauges.
@@ -171,9 +148,9 @@ impl SimTelemetry {
         self.registry.set_gauge(self.cluster_draw, cluster_draw_w);
         self.registry
             .set_gauge(self.policy_level, policy_level as f64);
-        self.sink
+        self.ring
             .record_sample(now, self.cluster_draw, cluster_draw_w);
-        self.sink
+        self.ring
             .record_sample(now, self.policy_level, policy_level as f64);
     }
 
@@ -186,25 +163,19 @@ impl SimTelemetry {
             EventKind::Shed => self.registry.inc(self.shed_events, 1),
             _ => {}
         }
-        self.sink.record_event(now, kind, source, value);
+        self.ring.record_event(now, kind, source, value);
     }
 
     /// Consumes the state into a serializable [`TelemetryDump`].
     pub fn into_dump(self) -> TelemetryDump {
-        let (records, dropped) = match self.sink {
-            TelemetrySink::Null => (Vec::new(), 0),
-            TelemetrySink::Ring(ring) => {
-                let dropped = ring.dropped();
-                (ring.into_records(), dropped)
-            }
-        };
-        TelemetryDump::new(self.registry, records, dropped + self.dropped_hint)
+        let dropped = self.ring.dropped();
+        TelemetryDump::new(self.registry, self.ring.into_records(), dropped)
     }
 
     /// The metric names this cluster shape registers, in id order — the
     /// schema the CI drift check pins down.
     pub fn schema(racks: usize) -> Vec<String> {
-        SimTelemetry::new(racks, 1.0, TelemetrySink::Null)
+        SimTelemetry::new(racks, 1.0, 1)
             .registry
             .names()
             .map(str::to_string)
@@ -229,8 +200,7 @@ mod tests {
 
     #[test]
     fn rack_tick_feeds_gauges_histogram_and_sink() {
-        let mut t = SimTelemetry::ring(1, 1000.0, 64);
-        assert!(t.recording());
+        let mut t = SimTelemetry::new(1, 1000.0, 64);
         let tick = RackTick {
             draw_w: 800.0,
             soc: 0.9,
@@ -254,7 +224,7 @@ mod tests {
 
     #[test]
     fn events_bump_matching_counters() {
-        let mut t = SimTelemetry::ring(1, 1000.0, 64);
+        let mut t = SimTelemetry::new(1, 1000.0, 64);
         t.event(SimTime::ZERO, EventKind::Overload, "rack-00", 900.0);
         t.event(SimTime::ZERO, EventKind::BreakerTrip, "pdu", 1.0);
         t.event(SimTime::ZERO, EventKind::LvdIsolation, "rack-00", 1.0);
@@ -263,19 +233,5 @@ mod tests {
         assert_eq!(reg.counter(reg.id("cluster.breaker_trips").unwrap()), 1);
         assert_eq!(reg.counter(reg.id("cluster.shed_events").unwrap()), 0);
         assert_eq!(t.into_dump().records.len(), 3);
-    }
-
-    #[test]
-    fn null_sink_still_counts_events() {
-        let mut t = SimTelemetry::new(1, 1000.0, TelemetrySink::Null);
-        assert!(!t.recording());
-        t.event(SimTime::ZERO, EventKind::Shed, "shedder", 3.0);
-        assert_eq!(
-            t.registry()
-                .counter(t.registry().id("cluster.shed_events").unwrap()),
-            1
-        );
-        let dump = t.into_dump();
-        assert!(dump.records.is_empty());
     }
 }

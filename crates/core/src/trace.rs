@@ -14,13 +14,12 @@
 //! first becomes active (discharge watts > 0, cap factor < 1, breaker
 //! margin below [`BREAKER_EXCURSION_MARGIN`]) and closes on the tick it
 //! returns to rest, carrying summary attributes (energy shaved, extreme
-//! value reached) set at close time. All bookkeeping is gated on
-//! [`SimTracer::enabled`] — with a null sink the simulator skips every
-//! call.
+//! value reached) set at close time. A simulator with tracing off owns
+//! no tracer and skips every call.
 
 use attack::phases::AttackPhase;
 use simkit::time::SimTime;
-use simkit::trace::{SpanId, SpanNameId, SpanSink, TraceDump, Tracer};
+use simkit::trace::{SpanId, SpanNameId, TraceDump, Tracer};
 
 use crate::policy::SecurityLevel;
 
@@ -115,6 +114,13 @@ struct EnergyEpisode {
     max_w: f64,
 }
 
+impl EnergyEpisode {
+    fn add(&mut self, watts: f64, dt_secs: f64) {
+        self.energy_j += watts * dt_secs;
+        self.max_w = self.max_w.max(watts);
+    }
+}
+
 /// One edge-triggered episode tracking an extreme value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ExtremeEpisode {
@@ -147,10 +153,11 @@ pub struct SimTracer {
 }
 
 impl SimTracer {
-    /// Creates a tracer for `n_racks` racks over `sink`, opening the
-    /// initial `policy.normal` residency span at `now`.
-    pub fn new(n_racks: usize, sink: SpanSink, now: SimTime) -> Self {
-        let mut tracer = Tracer::new(sink);
+    /// Creates a tracer for `n_racks` racks retaining at most
+    /// `ring_capacity` finished spans, opening the initial
+    /// `policy.normal` residency span at `now`.
+    pub fn new(n_racks: usize, ring_capacity: usize, now: SimTime) -> Self {
+        let mut tracer = Tracer::new(ring_capacity);
         let names = NameIds {
             attack_drain: tracer.intern(SPAN_ATTACK_DRAIN),
             attack_spike: tracer.intern(SPAN_ATTACK_SPIKE),
@@ -182,12 +189,6 @@ impl SimTracer {
             fault_windows: Vec::new(),
             fault_fallbacks: vec![None; n_racks],
         }
-    }
-
-    /// `false` when the sink is null and callers should skip their span
-    /// bookkeeping entirely.
-    pub fn enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// Number of spans currently open.
@@ -280,42 +281,25 @@ impl SimTracer {
     ) {
         // Battery discharge episode.
         if batt_discharge_w > 0.0 {
-            let ep = self.discharge[rack].get_or_insert_with(|| {
-                let parent = self
-                    .attacks
-                    .iter()
-                    .filter(|a| a.rack == rack)
-                    .find_map(|a| a.spike.or(if a.drain_open { a.drain } else { None }));
-                let id = self.tracer.start(now, self.names.batt_discharge, parent);
-                EnergyEpisode {
-                    id,
-                    energy_j: 0.0,
-                    max_w: 0.0,
-                }
-            });
-            ep.energy_j += batt_discharge_w * dt_secs;
-            ep.max_w = ep.max_w.max(batt_discharge_w);
+            if self.discharge[rack].is_none() {
+                let ep = self.open_energy(now, rack, self.names.batt_discharge);
+                self.discharge[rack] = Some(ep);
+            }
+            if let Some(ep) = &mut self.discharge[rack] {
+                ep.add(batt_discharge_w, dt_secs);
+            }
         } else if let Some(ep) = self.discharge[rack].take() {
             self.close_energy(now, rack, ep);
             self.last_discharge[rack] = Some(ep.id);
         }
         // µDEB shave burst.
         if udeb_shave_w > 0.0 {
-            let ep = self.shave[rack].get_or_insert_with(|| {
-                let parent = self
-                    .attacks
-                    .iter()
-                    .filter(|a| a.rack == rack)
-                    .find_map(|a| a.spike.or(if a.drain_open { a.drain } else { None }));
-                let id = self.tracer.start(now, self.names.udeb_shave, parent);
-                EnergyEpisode {
-                    id,
-                    energy_j: 0.0,
-                    max_w: 0.0,
-                }
-            });
-            ep.energy_j += udeb_shave_w * dt_secs;
-            ep.max_w = ep.max_w.max(udeb_shave_w);
+            if self.shave[rack].is_none() {
+                self.shave[rack] = Some(self.open_energy(now, rack, self.names.udeb_shave));
+            }
+            if let Some(ep) = &mut self.shave[rack] {
+                ep.add(udeb_shave_w, dt_secs);
+            }
         } else if let Some(ep) = self.shave[rack].take() {
             self.close_energy(now, rack, ep);
         }
@@ -339,9 +323,7 @@ impl SimTracer {
                 ep.extreme = ep.extreme.min(cap_factor);
             }
         } else if let Some(ep) = self.cap[rack].take() {
-            self.tracer.set_attr(ep.id, "rack", rack as f64);
-            self.tracer.set_attr(ep.id, "min_factor", ep.extreme);
-            self.tracer.end(now, ep.id);
+            self.close_extreme(now, rack, ep, "min_factor");
         }
         // Breaker-margin excursion.
         if breaker_margin < BREAKER_EXCURSION_MARGIN {
@@ -357,10 +339,25 @@ impl SimTracer {
                 ep.extreme = ep.extreme.min(breaker_margin);
             }
         } else if let Some(ep) = self.breaker[rack].take() {
-            self.tracer.set_attr(ep.id, "rack", rack as f64);
-            self.tracer.set_attr(ep.id, "min_margin", ep.extreme);
-            self.tracer.end(now, ep.id);
+            self.close_extreme(now, rack, ep, "min_margin");
         }
+    }
+
+    /// Opens an energy episode on `rack`, parented under the rack's
+    /// live attack span.
+    fn open_energy(&mut self, now: SimTime, rack: usize, name: SpanNameId) -> EnergyEpisode {
+        let parent = self.attack_parent_for_rack(rack);
+        EnergyEpisode {
+            id: self.tracer.start(now, name, parent),
+            energy_j: 0.0,
+            max_w: 0.0,
+        }
+    }
+
+    fn close_extreme(&mut self, now: SimTime, rack: usize, ep: ExtremeEpisode, key: &str) {
+        self.tracer.set_attr(ep.id, "rack", rack as f64);
+        self.tracer.set_attr(ep.id, key, ep.extreme);
+        self.tracer.end(now, ep.id);
     }
 
     fn close_energy(&mut self, now: SimTime, rack: usize, ep: EnergyEpisode) {
@@ -452,14 +449,10 @@ impl SimTracer {
                 self.close_energy(now, rack, ep);
             }
             if let Some(ep) = self.cap[rack].take() {
-                self.tracer.set_attr(ep.id, "rack", rack as f64);
-                self.tracer.set_attr(ep.id, "min_factor", ep.extreme);
-                self.tracer.end(now, ep.id);
+                self.close_extreme(now, rack, ep, "min_factor");
             }
             if let Some(ep) = self.breaker[rack].take() {
-                self.tracer.set_attr(ep.id, "rack", rack as f64);
-                self.tracer.set_attr(ep.id, "min_margin", ep.extreme);
-                self.tracer.end(now, ep.id);
+                self.close_extreme(now, rack, ep, "min_margin");
             }
         }
         for slot in self
@@ -478,10 +471,9 @@ impl SimTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::trace::RingSpanRecorder;
 
     fn tracer() -> SimTracer {
-        SimTracer::new(2, SpanSink::Ring(RingSpanRecorder::new(256)), SimTime::ZERO)
+        SimTracer::new(2, 256, SimTime::ZERO)
     }
 
     fn name_of(dump: &TraceDump, i: usize) -> &str {
@@ -653,12 +645,5 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn null_sink_tracer_is_disabled() {
-        let tr = SimTracer::new(2, SpanSink::Null, SimTime::ZERO);
-        assert!(!tr.enabled());
-        assert!(tr.into_dump(SimTime::from_secs(1)).spans.is_empty());
     }
 }

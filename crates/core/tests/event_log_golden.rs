@@ -1,7 +1,7 @@
 //! Byte-for-byte goldens of the simulator's forensic event log.
 //!
 //! Four attacked runs on the 4 × 4 test cluster together reach every
-//! site that writes to the log:
+//! kind of line the simulator logs:
 //!
 //! * PAD with detection armed under a fault plan (a µDEB outage on one
 //!   rack, total coordinator-message loss long enough to trip the
@@ -61,8 +61,18 @@ fn pad_detect_faulted() -> String {
     config.battery_autonomy = SimDuration::from_secs(10);
     let degraded = DegradedConfig::for_grant_interval(config.grant_interval);
     let plan = FaultPlan::new("golden")
-        .with(window(FaultKind::ComponentOutage, FaultTarget::Unit(0), 2, 6))
-        .with(window(FaultKind::MsgLoss { p: 1.0 }, FaultTarget::All, 3, 5))
+        .with(window(
+            FaultKind::ComponentOutage,
+            FaultTarget::Unit(0),
+            2,
+            6,
+        ))
+        .with(window(
+            FaultKind::MsgLoss { p: 1.0 },
+            FaultTarget::All,
+            3,
+            5,
+        ))
         .with(window(
             FaultKind::ComponentDerate { factor: 0.8 },
             FaultTarget::All,
@@ -163,34 +173,4 @@ fn pad_shed_wake_log_is_pinned() {
 fn conv_trip_log_is_pinned() {
     let golden = include_str!("data/event_log_conv_trip.txt");
     check(&conv_trip(), golden, "conv_trip");
-}
-
-/// Together the runs reach every message the simulator logs.
-#[test]
-fn runs_reach_every_log_site() {
-    let all = [
-        pad_detect_faulted(),
-        pad_migrate(),
-        pad_shed_wake(),
-        conv_trip(),
-    ]
-    .concat();
-    for needle in [
-        "fault injected",
-        "fault cleared",
-        "falling back to local control",
-        "fallback cleared",
-        "feed breaker tripped - rack dark",
-        "cluster feed breaker tripped",
-        "overload: draw",
-        "protective cluster-wide",
-        " -> Level",
-        "migrating",
-        "load shedding",
-        "all servers woken",
-        "low-voltage disconnect",
-        "fused detector verdict fired",
-    ] {
-        assert!(all.contains(needle), "no run logs {needle:?}");
-    }
 }

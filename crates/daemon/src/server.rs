@@ -8,8 +8,8 @@
 //! the accept loop, drains every open session, flushes per-tenant
 //! outputs plus `daemon_report.json` to `--out`, and returns cleanly.
 
-use std::io::{self, Write as _};
-use std::net::TcpListener;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -118,60 +118,28 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
 
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !state.shutting_down() {
-        let mut accepted = false;
+        let before = workers.len();
         if let Some(listener) = &data_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = run_session(stream, &state) {
-                            eprintln!("padsimd: session error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
+            workers.extend(accept_into(
+                listener.accept(),
+                &state,
+                "session",
+                run_session,
+            )?);
         }
         #[cfg(unix)]
         if let Some(listener) = &uds_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = run_session(stream, &state) {
-                            eprintln!("padsimd: session error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
+            workers.extend(accept_into(
+                listener.accept(),
+                &state,
+                "session",
+                run_session,
+            )?);
         }
         if let Some(listener) = &http_listener {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted = true;
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-                    let state = state.clone();
-                    workers.push(thread::spawn(move || {
-                        if let Err(e) = handle_http(stream, &state) {
-                            eprintln!("padsimd: http error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => eprintln!("padsimd: accept error: {e}"),
-            }
+            workers.extend(accept_into(listener.accept(), &state, "http", handle_http)?);
         }
-        if !accepted {
+        if workers.len() == before {
             thread::sleep(ACCEPT_POLL);
             // Reap finished workers so a long-lived daemon's handle
             // list stays bounded by its *concurrent* session count.
@@ -201,6 +169,55 @@ pub fn serve(opts: ServeOptions) -> io::Result<()> {
     }
     println!("padsimd: drained and flushed, exiting");
     Ok(())
+}
+
+/// An accepted connection a worker thread can serve.
+trait Connection: Read + Write + Send + 'static {
+    /// Switches the stream to blocking reads that time out after
+    /// [`READ_TIMEOUT`], so its worker can poll the shutdown flag.
+    fn set_up(&self) -> io::Result<()>;
+}
+
+impl Connection for TcpStream {
+    fn set_up(&self) -> io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(READ_TIMEOUT))
+    }
+}
+
+#[cfg(unix)]
+impl Connection for std::os::unix::net::UnixStream {
+    fn set_up(&self) -> io::Result<()> {
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(READ_TIMEOUT))
+    }
+}
+
+/// Hands the outcome of one non-blocking `accept` to a new worker
+/// thread running `handler`. Nothing pending is not an error, and an
+/// accept error is logged and skipped; only a failed stream set-up
+/// aborts the accept loop.
+fn accept_into<C: Connection, T: 'static>(
+    accepted: io::Result<(C, impl Sized)>,
+    state: &Arc<DaemonState>,
+    what: &'static str,
+    handler: fn(C, &DaemonState) -> io::Result<T>,
+) -> io::Result<Option<JoinHandle<()>>> {
+    let stream = match accepted {
+        Ok((stream, _)) => stream,
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+        Err(e) => {
+            eprintln!("padsimd: accept error: {e}");
+            return Ok(None);
+        }
+    };
+    stream.set_up()?;
+    let state = Arc::clone(state);
+    Ok(Some(thread::spawn(move || {
+        if let Err(e) = handler(stream, &state) {
+            eprintln!("padsimd: {what} error: {e}");
+        }
+    })))
 }
 
 fn bind_tcp(addr: &str) -> io::Result<TcpListener> {

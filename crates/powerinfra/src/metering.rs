@@ -114,7 +114,7 @@ impl PowerMeter {
     /// Returns how many samples were drained.
     pub fn drain_into(
         &mut self,
-        recorder: &mut impl simkit::telemetry::Recorder,
+        recorder: &mut simkit::telemetry::RingRecorder,
         metric: simkit::telemetry::MetricId,
     ) -> usize {
         let samples = self.take_samples();

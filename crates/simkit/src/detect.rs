@@ -516,8 +516,7 @@ impl StreamDetector for DrainRateDetector {
 ///
 /// Simulation state must be `Clone` (the sweep engine clones warmed
 /// simulators per scenario), which rules out `Box<dyn StreamDetector>`
-/// subscriptions; this enum is the concrete closed set, mirroring
-/// [`TelemetrySink`](crate::telemetry::TelemetrySink).
+/// subscriptions; this enum is the concrete closed set.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Detector {
     /// EWMA baseline + residual z-score.

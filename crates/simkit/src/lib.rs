@@ -18,10 +18,10 @@
 //! * [`table`] and [`heatmap`] — plain-text renderers used to print the
 //!   paper's tables and figure series;
 //! * [`telemetry`] — a deterministic metrics registry, per-tick trace
-//!   recording (`Recorder` sinks, JSONL/CSV codecs) and offline trace
-//!   inspection;
-//! * [`trace`] — sim-time **spans** with causal parent links (`SpanSink`
-//!   recording, JSONL/CSV codecs) and forensic incident reconstruction
+//!   recording (a bounded `RingRecorder`, JSONL/CSV codecs) and offline
+//!   trace inspection;
+//! * [`trace`] — sim-time **spans** with causal parent links (a bounded
+//!   `RingSpanRecorder`, JSONL/CSV codecs) and forensic incident reconstruction
 //!   over a recorded span trace;
 //! * [`alert`] — a deterministic alerting rule engine (threshold,
 //!   rate-of-change, deadman/staleness rules with for-duration hold and
@@ -40,7 +40,7 @@
 //! * [`mc`] — a bounded exhaustive model checker (DFS/BFS over action
 //!   interleavings, FNV-1a state fingerprints for visited-set pruning,
 //!   pluggable safety/liveness properties, counterexample traces);
-//! * [`prof`] — Null-gated self-profiling (interned phase IDs, lap
+//! * [`prof`] — self-profiling (interned phase IDs, lap
 //!   timers with per-phase call/total/max aggregates, and throughput
 //!   accounting for the simulated-work-per-wall-second CI number).
 //!
@@ -101,13 +101,9 @@ pub mod prelude {
     pub use crate::sweep::{
         scenario_seed, scenario_stream, Metered, SweepProfile, SweepRunner, WorkerProfile,
     };
-    pub use crate::telemetry::{
-        EventKind, MetricId, MetricRegistry, Recorder, RingRecorder, TelemetryDump, TelemetrySink,
-    };
+    pub use crate::telemetry::{EventKind, MetricId, MetricRegistry, RingRecorder, TelemetryDump};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{
-        RingSpanRecorder, Span, SpanId, SpanRecorder, SpanSink, TraceDump, Tracer,
-    };
+    pub use crate::trace::{RingSpanRecorder, Span, SpanId, TraceDump, Tracer};
 }
 
 pub use detect::{Detector, DetectorBank, FusedVerdict, StreamDetector, Verdict};
@@ -121,6 +117,6 @@ pub use rng::RngStream;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, ScenarioCost};
 pub use sweep::{Metered, SweepRunner};
-pub use telemetry::{MetricId, MetricRegistry, Recorder, TelemetryDump, TelemetrySink};
+pub use telemetry::{MetricId, MetricRegistry, TelemetryDump};
 pub use time::{SimDuration, SimTime};
-pub use trace::{SpanId, SpanSink, TraceDump, Tracer};
+pub use trace::{SpanId, TraceDump, Tracer};

@@ -1,12 +1,12 @@
-//! Null-gated self-profiling: interned phase IDs, monotonic wall-clock
-//! phase timers, and throughput accounting.
+//! Self-profiling: interned phase IDs, monotonic wall-clock phase
+//! timers, and throughput accounting.
 //!
 //! The profiler follows the same discipline as [`crate::telemetry`] and
-//! [`crate::trace`]: a *null* instance keeps every hot-loop hook a single
-//! branch (the disabled path must stay within a few percent of an
-//! uninstrumented build), while a *live* instance aggregates per-phase
-//! call-count / total / max wall-clock durations against interned
-//! [`PhaseId`]s handed out in registration order. Phase timings read the
+//! [`crate::trace`]: a caller with profiling off owns no profiler, and
+//! its [`LapTimer`] is inert, so every hot-loop hook is a single branch.
+//! A [`Profiler`] aggregates per-phase call-count / total / max
+//! wall-clock durations against interned [`PhaseId`]s handed out in
+//! registration order. Phase timings read the
 //! monotonic clock only — they never feed back into simulation state, so
 //! enabling profiling cannot perturb a single output byte.
 //!
@@ -19,11 +19,11 @@
 //! ```
 //! use simkit::prof::{LapTimer, Profiler};
 //!
-//! let mut prof = Profiler::live();
+//! let mut prof = Profiler::new();
 //! let plan = prof.register("step.plan");
 //! let apply = prof.register("step.apply");
 //!
-//! let mut lap = LapTimer::start(prof.enabled());
+//! let mut lap = LapTimer::start(true);
 //! // ... planning work ...
 //! if let Some(d) = lap.lap() {
 //!     prof.add(plan, d);
@@ -88,42 +88,16 @@ impl PhaseStats {
 }
 
 /// A self-profiler: interned phase names with per-phase aggregates.
-///
-/// A [`Profiler::null`] instance rejects nothing but records nothing —
-/// [`Profiler::add`] is a single branch — so callers can install one
-/// unconditionally and pay only when [`Profiler::live`] was chosen.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profiler {
-    enabled: bool,
     names: Vec<String>,
     stats: Vec<PhaseStats>,
 }
 
 impl Profiler {
-    /// A disabled profiler: registration still interns names (so the
-    /// phase vocabulary stays identical either way), but every `add` is
-    /// a no-op.
-    pub fn null() -> Self {
-        Profiler {
-            enabled: false,
-            names: Vec::new(),
-            stats: Vec::new(),
-        }
-    }
-
-    /// A recording profiler.
-    pub fn live() -> Self {
-        Profiler {
-            enabled: true,
-            names: Vec::new(),
-            stats: Vec::new(),
-        }
-    }
-
-    /// Whether laps are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// An empty profiler; register phases before recording laps.
+    pub fn new() -> Self {
+        Profiler::default()
     }
 
     /// Interns `name`, returning its dense id. Registering the same name
@@ -138,12 +112,10 @@ impl Profiler {
         PhaseId((self.names.len() - 1) as u16)
     }
 
-    /// Records one lap against `id`. A null profiler ignores the call.
+    /// Records one lap against `id`.
     #[inline]
     pub fn add(&mut self, id: PhaseId, elapsed: Duration) {
-        if self.enabled {
-            self.stats[id.0 as usize].record(elapsed);
-        }
+        self.stats[id.0 as usize].record(elapsed);
     }
 
     /// The aggregate for `id`.
@@ -320,17 +292,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_profiler_records_nothing() {
-        let mut prof = Profiler::null();
-        let id = prof.register("p");
-        prof.add(id, Duration::from_millis(5));
-        assert_eq!(prof.stats(id).calls, 0);
-        assert!(!prof.enabled());
-    }
-
-    #[test]
     fn live_profiler_aggregates_count_total_max() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let id = prof.register("p");
         prof.add(id, Duration::from_millis(2));
         prof.add(id, Duration::from_millis(5));
@@ -344,7 +307,7 @@ mod tests {
 
     #[test]
     fn registration_interns_and_preserves_order() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let a = prof.register("a");
         let b = prof.register("b");
         assert_eq!(prof.register("a"), a);
@@ -363,7 +326,7 @@ mod tests {
 
     #[test]
     fn laps_tile_the_section() {
-        let mut prof = Profiler::live();
+        let mut prof = Profiler::new();
         let a = prof.register("a");
         let b = prof.register("b");
         let mut lap = LapTimer::start(true);

@@ -28,11 +28,8 @@
 //! round-trip representation), which is deterministic across platforms —
 //! the basis of the byte-identical determinism contract.
 
-use std::io::{self, Write};
-
 use crate::telemetry::record::{EventKind, Record};
-use crate::telemetry::recorder::Recorder;
-use crate::telemetry::registry::{MetricId, MetricRegistry};
+use crate::telemetry::registry::MetricRegistry;
 use crate::time::SimTime;
 
 /// On-disk trace format.
@@ -146,120 +143,6 @@ pub fn to_csv(registry: &MetricRegistry, records: &[Record]) -> String {
         }
     }
     out
-}
-
-/// A [`Recorder`] that streams records straight to a writer as JSONL.
-///
-/// Used when a single live run writes telemetry to disk without
-/// buffering the whole trace. The metric name table is snapshotted from
-/// the registry at construction, so the registry must be fully
-/// registered first. I/O errors are sticky: the first error is stored
-/// and returned by [`finish`](JsonlRecorder::finish); later records are
-/// dropped.
-#[derive(Debug)]
-pub struct JsonlRecorder<W: Write> {
-    writer: W,
-    names: Vec<String>,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlRecorder<W> {
-    /// Creates a streaming JSONL recorder over `writer`.
-    pub fn new(writer: W, registry: &MetricRegistry) -> Self {
-        JsonlRecorder {
-            writer,
-            names: registry.names().map(str::to_string).collect(),
-            error: None,
-        }
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// Flushes and returns the writer, or the first I/O error hit.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> Recorder for JsonlRecorder<W> {
-    fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64) {
-        let mut line = String::with_capacity(48);
-        write_sample_jsonl(&mut line, time, &self.names[metric.index()], value);
-        self.write_line(&line);
-    }
-
-    fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64) {
-        let mut line = String::with_capacity(48);
-        write_event_jsonl(&mut line, time, kind, source, value);
-        self.write_line(&line);
-    }
-}
-
-/// A [`Recorder`] that streams records straight to a writer as CSV.
-///
-/// The header row is written at construction. Error handling matches
-/// [`JsonlRecorder`].
-#[derive(Debug)]
-pub struct CsvRecorder<W: Write> {
-    writer: W,
-    names: Vec<String>,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> CsvRecorder<W> {
-    /// Creates a streaming CSV recorder over `writer`, writing the
-    /// header row immediately.
-    pub fn new(mut writer: W, registry: &MetricRegistry) -> Self {
-        let error = writer.write_all(CSV_HEADER.as_bytes()).err();
-        CsvRecorder {
-            writer,
-            names: registry.names().map(str::to_string).collect(),
-            error,
-        }
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// Flushes and returns the writer, or the first I/O error hit.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> Recorder for CsvRecorder<W> {
-    fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64) {
-        let mut line = String::with_capacity(40);
-        write_sample_csv(&mut line, time, &self.names[metric.index()], value);
-        self.write_line(&line);
-    }
-
-    fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64) {
-        let mut line = String::with_capacity(40);
-        write_event_csv(&mut line, time, kind, source, value);
-        self.write_line(&line);
-    }
 }
 
 /// One record parsed back from a serialized trace.
@@ -619,35 +502,6 @@ mod tests {
         assert_eq!(parsed[1].name, "rack-00.soc");
         assert_eq!(parsed[1].value, 0.5);
         assert_eq!(parsed[2].name, "breaker_trip");
-    }
-
-    #[test]
-    fn streaming_recorders_match_batch_output() {
-        let (reg, records) = sample_records();
-        let mut jsonl = JsonlRecorder::new(Vec::new(), &reg);
-        let mut csv = CsvRecorder::new(Vec::new(), &reg);
-        for r in &records {
-            match r {
-                Record::Sample(s) => {
-                    jsonl.record_sample(s.time, s.metric, s.value);
-                    csv.record_sample(s.time, s.metric, s.value);
-                }
-                Record::Event(e) => {
-                    jsonl.record_event(e.time, e.kind, &e.source, e.value);
-                    csv.record_event(e.time, e.kind, &e.source, e.value);
-                }
-            }
-        }
-        let jsonl_bytes = jsonl.finish().unwrap();
-        let csv_bytes = csv.finish().unwrap();
-        assert_eq!(
-            String::from_utf8(jsonl_bytes).unwrap(),
-            to_jsonl(&reg, &records)
-        );
-        assert_eq!(
-            String::from_utf8(csv_bytes).unwrap(),
-            to_csv(&reg, &records)
-        );
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * [`MetricRegistry`] — interns metric names to dense [`MetricId`]s up
 //!   front and owns aggregate instruments (counters, gauges, fixed-bucket
 //!   histograms, running [`OnlineStats`](crate::stats::OnlineStats)).
-//! * [`Recorder`] — the per-tick trace sink. [`NullRecorder`] is the
-//!   do-nothing fast path, [`RingRecorder`] retains a bounded in-memory
-//!   trace, [`JsonlRecorder`]/[`CsvRecorder`] stream to disk.
-//!   [`TelemetrySink`] is the clonable enum simulations embed.
+//! * [`RingRecorder`] — the per-tick trace sink: a bounded in-memory
+//!   trace, serialized after the run by [`to_jsonl`]/[`to_csv`]. A
+//!   simulation with telemetry off owns no recorder at all.
 //! * Offline: [`parse`] reads a serialized trace back,
 //!   [`TelemetryReport`] digests and renders it (`padsim inspect`).
 //!
@@ -37,12 +36,12 @@ pub mod recorder;
 pub mod registry;
 
 pub use codec::{
-    is_csv_header, parse, parse_line, parse_lossy, render_parsed, to_csv, to_jsonl, CsvRecorder,
-    Format, JsonlRecorder, LossyParse, ParseError, ParsedRecord, CSV_HEADER,
+    is_csv_header, parse, parse_line, parse_lossy, render_parsed, to_csv, to_jsonl, Format,
+    LossyParse, ParseError, ParsedRecord, CSV_HEADER,
 };
 pub use inspect::{EventDigest, MetricDigest, TelemetryReport};
 pub use record::{sort_records, EventKind, EventRecord, Record, Sample};
-pub use recorder::{NullRecorder, Recorder, RingRecorder, TelemetrySink};
+pub use recorder::RingRecorder;
 pub use registry::{render_prometheus_families, MetricId, MetricKind, MetricRegistry};
 
 /// A finished trace: the registry that names its metrics plus the

@@ -1,6 +1,6 @@
 //! The records a telemetry trace is made of.
 //!
-//! Two record shapes flow through a [`Recorder`](crate::telemetry::Recorder):
+//! Two record shapes flow into a [`RingRecorder`](crate::telemetry::RingRecorder):
 //! [`Sample`]s (one metric value at one simulation time) and
 //! [`EventRecord`]s (one typed occurrence — a breaker trip, an LVD
 //! isolation — at one simulation time). Both carry [`SimTime`], never

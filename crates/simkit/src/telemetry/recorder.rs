@@ -1,20 +1,11 @@
-//! The [`Recorder`] trait and its in-memory implementations.
+//! The in-memory telemetry recorder.
 //!
-//! A recorder receives the per-tick record stream. The two in-memory
-//! implementations cover the two simulation modes:
-//!
-//! * [`NullRecorder`] — drops everything; `enabled()` is `false` so call
-//!   sites can skip even *computing* telemetry values. This is the fast
-//!   path that keeps an instrumented hot loop within noise of an
-//!   uninstrumented one.
-//! * [`RingRecorder`] — a bounded ring buffer that evicts the oldest
-//!   record when full and counts what it dropped. Sweeps record into one
-//!   ring per scenario, then serialize after the sweep, which is how
-//!   parallel telemetry stays byte-identical to serial.
-//!
-//! Streaming file sinks ([`JsonlRecorder`](crate::telemetry::JsonlRecorder),
-//! [`CsvRecorder`](crate::telemetry::CsvRecorder)) live in
-//! [`codec`](crate::telemetry::codec).
+//! [`RingRecorder`] is a bounded ring buffer that evicts the oldest
+//! record when full and counts what it dropped. Sweeps record into one
+//! ring per scenario, then serialize after the sweep, which is how
+//! parallel telemetry stays byte-identical to serial. A simulation with
+//! telemetry off owns no recorder at all; serialization to JSONL/CSV is
+//! the batch codec in [`codec`](crate::telemetry::codec).
 
 use std::collections::VecDeque;
 
@@ -22,47 +13,16 @@ use crate::telemetry::record::{EventKind, EventRecord, Record, Sample};
 use crate::telemetry::MetricId;
 use crate::time::SimTime;
 
-/// Sink for the telemetry record stream.
-///
-/// Implementations must preserve per-call ordering (records arrive
-/// already ordered within a tick) and must not inject wall-clock time —
-/// everything a recorder stores derives from [`SimTime`] and the values
-/// it is handed.
-pub trait Recorder {
-    /// `false` if this recorder discards everything; emitters should skip
-    /// assembling records when so.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one metric observation.
-    fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64);
-
-    /// Records one typed event.
-    fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64);
-}
-
-/// A recorder that drops everything, as cheaply as possible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record_sample(&mut self, _time: SimTime, _metric: MetricId, _value: f64) {}
-
-    fn record_event(&mut self, _time: SimTime, _kind: EventKind, _source: &str, _value: f64) {}
-}
-
 /// Bounded in-memory trace: keeps the most recent `capacity` records,
 /// evicting the oldest and counting drops.
+///
+/// Records must arrive already ordered within a tick and carry only
+/// [`SimTime`] — never wall-clock time.
 ///
 /// # Example
 ///
 /// ```
-/// use simkit::telemetry::{MetricRegistry, Recorder, RingRecorder};
+/// use simkit::telemetry::{MetricRegistry, RingRecorder};
 /// use simkit::time::SimTime;
 ///
 /// let mut reg = MetricRegistry::new();
@@ -128,10 +88,9 @@ impl RingRecorder {
     pub fn into_records(self) -> Vec<Record> {
         self.records.into()
     }
-}
 
-impl Recorder for RingRecorder {
-    fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64) {
+    /// Records one metric observation.
+    pub fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64) {
         self.push(Record::Sample(Sample {
             time,
             metric,
@@ -139,7 +98,8 @@ impl Recorder for RingRecorder {
         }));
     }
 
-    fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64) {
+    /// Records one typed event.
+    pub fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64) {
         self.push(Record::Event(EventRecord {
             time,
             kind,
@@ -149,67 +109,10 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// A clonable, comparable recorder slot for embedding in simulation
-/// state.
-///
-/// `ClusterSim` derives `Clone` (sweeps clone a template sim per
-/// scenario), which rules out `Box<dyn Recorder>` fields; this enum is
-/// the concrete set of in-memory sinks a simulation can own. File sinks
-/// are not embeddable — record to a ring, then serialize the dump.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum TelemetrySink {
-    /// Discard everything (the fast path).
-    #[default]
-    Null,
-    /// Retain records in a bounded ring.
-    Ring(RingRecorder),
-}
-
-impl TelemetrySink {
-    /// The retained records, if this sink retains any.
-    pub fn records(&self) -> Option<&RingRecorder> {
-        match self {
-            TelemetrySink::Null => None,
-            TelemetrySink::Ring(ring) => Some(ring),
-        }
-    }
-}
-
-impl Recorder for TelemetrySink {
-    fn enabled(&self) -> bool {
-        match self {
-            TelemetrySink::Null => false,
-            TelemetrySink::Ring(_) => true,
-        }
-    }
-
-    fn record_sample(&mut self, time: SimTime, metric: MetricId, value: f64) {
-        if let TelemetrySink::Ring(ring) = self {
-            ring.record_sample(time, metric, value);
-        }
-    }
-
-    fn record_event(&mut self, time: SimTime, kind: EventKind, source: &str, value: f64) {
-        if let TelemetrySink::Ring(ring) = self {
-            ring.record_event(time, kind, source, value);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::MetricRegistry;
-
-    #[test]
-    fn null_recorder_is_disabled() {
-        let mut null = NullRecorder;
-        assert!(!null.enabled());
-        let mut reg = MetricRegistry::new();
-        let m = reg.register_gauge("g");
-        null.record_sample(SimTime::ZERO, m, 1.0);
-        null.record_event(SimTime::ZERO, EventKind::Shed, "rack-00", 1.0);
-    }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
@@ -229,15 +132,15 @@ mod tests {
     fn sink_dispatches_by_variant() {
         let mut reg = MetricRegistry::new();
         let m = reg.register_gauge("g");
-        let mut sink = TelemetrySink::default();
-        assert!(!sink.enabled());
-        sink.record_sample(SimTime::ZERO, m, 1.0);
-        assert!(sink.records().is_none());
-
-        let mut sink = TelemetrySink::Ring(RingRecorder::new(8));
-        assert!(sink.enabled());
-        sink.record_sample(SimTime::ZERO, m, 1.0);
-        sink.record_event(SimTime::ZERO, EventKind::BreakerTrip, "rack-00", 1.0);
-        assert_eq!(sink.records().unwrap().len(), 2);
+        let mut ring = RingRecorder::new(8);
+        ring.record_sample(SimTime::ZERO, m, 1.0);
+        ring.record_event(SimTime::ZERO, EventKind::BreakerTrip, "rack-00", 1.0);
+        let records = ring.into_records();
+        assert!(matches!(&records[0], Record::Sample(s) if s.metric == m && s.value == 1.0));
+        assert!(matches!(
+            &records[1],
+            Record::Event(e) if e.kind == EventKind::BreakerTrip && e.source == "rack-00"
+        ));
+        assert_eq!(records.len(), 2);
     }
 }

@@ -24,65 +24,44 @@
 //! 1,attack.spike,0,330000,600000,rack=1;nodes=4
 //! ```
 
-use std::io::{self, Write};
+use std::fmt::Write as _;
 
 use crate::telemetry::codec::{err, expect_key, next_field, unquote, Format, ParseError};
-use crate::trace::span::{Span, SpanNames, SpanRecorder};
+use crate::trace::span::{Span, SpanNames};
 
 /// CSV header line for span traces (with trailing newline).
 pub const SPAN_CSV_HEADER: &str = "id,name,parent,start_ms,end_ms,attrs\n";
-
-fn write_span_jsonl(out: &mut String, names: &SpanNames, span: &Span) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"id\":{},\"name\":\"{}\",\"parent\":",
-        span.id.index(),
-        names.name(span.name)
-    );
-    match span.parent {
-        Some(p) => {
-            let _ = write!(out, "{}", p.index());
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(
-        out,
-        ",\"t0\":{},\"t1\":{},\"attrs\":{{",
-        span.start.as_millis(),
-        span.end.as_millis()
-    );
-    for (i, (key, value)) in span.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":{value}");
-    }
-    out.push_str("}}\n");
-}
-
-fn write_span_csv(out: &mut String, names: &SpanNames, span: &Span) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{},{},", span.id.index(), names.name(span.name));
-    if let Some(p) = span.parent {
-        let _ = write!(out, "{}", p.index());
-    }
-    let _ = write!(out, ",{},{},", span.start.as_millis(), span.end.as_millis());
-    for (i, (key, value)) in span.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        let _ = write!(out, "{key}={value}");
-    }
-    out.push('\n');
-}
 
 /// Serializes spans (already in canonical order — see
 /// [`sort_spans`](crate::trace::sort_spans)) to a JSONL string.
 pub fn spans_to_jsonl(names: &SpanNames, spans: &[Span]) -> String {
     let mut out = String::with_capacity(spans.len() * 96);
     for span in spans {
-        write_span_jsonl(&mut out, names, span);
+        let _ = write!(
+            out,
+            "{{\"id\":{},\"name\":\"{}\",\"parent\":",
+            span.id.index(),
+            names.name(span.name)
+        );
+        match span.parent {
+            Some(p) => {
+                let _ = write!(out, "{}", p.index());
+            }
+            None => out.push_str("null"),
+        }
+        let _ = write!(
+            out,
+            ",\"t0\":{},\"t1\":{},\"attrs\":{{",
+            span.start.as_millis(),
+            span.end.as_millis()
+        );
+        for (i, (key, value)) in span.attrs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{key}\":{value}");
+        }
+        out.push_str("}}\n");
     }
     out
 }
@@ -93,107 +72,20 @@ pub fn spans_to_csv(names: &SpanNames, spans: &[Span]) -> String {
     let mut out = String::with_capacity(SPAN_CSV_HEADER.len() + spans.len() * 64);
     out.push_str(SPAN_CSV_HEADER);
     for span in spans {
-        write_span_csv(&mut out, names, span);
+        let _ = write!(out, "{},{},", span.id.index(), names.name(span.name));
+        if let Some(p) = span.parent {
+            let _ = write!(out, "{}", p.index());
+        }
+        let _ = write!(out, ",{},{},", span.start.as_millis(), span.end.as_millis());
+        for (i, (key, value)) in span.attrs.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            let _ = write!(out, "{key}={value}");
+        }
+        out.push('\n');
     }
     out
-}
-
-/// A [`SpanRecorder`] that streams finished spans straight to a writer
-/// as JSONL. I/O errors are sticky, matching the telemetry recorders:
-/// the first error is stored and returned by
-/// [`finish`](JsonlSpanRecorder::finish); later spans are dropped.
-#[derive(Debug)]
-pub struct JsonlSpanRecorder<W: Write> {
-    writer: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlSpanRecorder<W> {
-    /// Creates a streaming JSONL span recorder over `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlSpanRecorder {
-            writer,
-            error: None,
-        }
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// Flushes and returns the writer, or the first I/O error hit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write or flush error.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> SpanRecorder for JsonlSpanRecorder<W> {
-    fn record_span(&mut self, names: &SpanNames, span: Span) {
-        let mut line = String::with_capacity(96);
-        write_span_jsonl(&mut line, names, &span);
-        self.write_line(&line);
-    }
-}
-
-/// A [`SpanRecorder`] that streams finished spans straight to a writer
-/// as CSV. The header row is written at construction; error handling
-/// matches [`JsonlSpanRecorder`].
-#[derive(Debug)]
-pub struct CsvSpanRecorder<W: Write> {
-    writer: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> CsvSpanRecorder<W> {
-    /// Creates a streaming CSV span recorder over `writer`, writing the
-    /// header row immediately.
-    pub fn new(mut writer: W) -> Self {
-        let error = writer.write_all(SPAN_CSV_HEADER.as_bytes()).err();
-        CsvSpanRecorder { writer, error }
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// Flushes and returns the writer, or the first I/O error hit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write or flush error.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> SpanRecorder for CsvSpanRecorder<W> {
-    fn record_span(&mut self, names: &SpanNames, span: Span) {
-        let mut line = String::with_capacity(64);
-        write_span_csv(&mut line, names, &span);
-        self.write_line(&line);
-    }
 }
 
 /// One span parsed back from a serialized trace.
@@ -536,25 +428,6 @@ mod tests {
             let reparsed = parse_spans(&render_parsed_spans(&parsed, format), format).unwrap();
             assert_eq!(reparsed, parsed, "{format:?}");
         }
-    }
-
-    #[test]
-    fn streaming_recorders_match_batch_output() {
-        let (names, spans) = sample_trace();
-        let mut jsonl = JsonlSpanRecorder::new(Vec::new());
-        let mut csv = CsvSpanRecorder::new(Vec::new());
-        for span in &spans {
-            jsonl.record_span(&names, span.clone());
-            csv.record_span(&names, span.clone());
-        }
-        assert_eq!(
-            String::from_utf8(jsonl.finish().unwrap()).unwrap(),
-            spans_to_jsonl(&names, &spans)
-        );
-        assert_eq!(
-            String::from_utf8(csv.finish().unwrap()).unwrap(),
-            spans_to_csv(&names, &spans)
-        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! Three layers, mirroring the telemetry module:
 //!
-//! * [`Tracer`] — open/close span bookkeeping over a [`SpanSink`]
-//!   (`Null` is the zero-cost fast path, `Ring` retains a bounded
-//!   trace; [`JsonlSpanRecorder`]/[`CsvSpanRecorder`] stream to disk).
+//! * [`Tracer`] — open/close span bookkeeping into a bounded
+//!   [`RingSpanRecorder`]. A simulation with tracing off owns no tracer
+//!   at all.
 //! * [`codec`] — JSONL/CSV span serialization and the strict
 //!   [`parse_spans`] reader.
 //! * [`incident`] — [`IncidentReconstructor`] joins a parsed span trace
@@ -31,34 +31,28 @@ pub mod span;
 
 pub use codec::{
     is_span_csv_header, parse_span_line, parse_spans, render_parsed_spans, spans_to_csv,
-    spans_to_jsonl, CsvSpanRecorder, JsonlSpanRecorder, ParsedSpan, SPAN_CSV_HEADER,
+    spans_to_jsonl, ParsedSpan, SPAN_CSV_HEADER,
 };
 pub use incident::{
     render_report_json, render_timeline, GroundTruth, Incident, IncidentReconstructor,
 };
-pub use span::{
-    sort_spans, NullSpanRecorder, RingSpanRecorder, Span, SpanId, SpanNameId, SpanNames,
-    SpanRecorder, SpanSink,
-};
+pub use span::{sort_spans, RingSpanRecorder, Span, SpanId, SpanNameId, SpanNames};
 
 use crate::telemetry::codec::Format;
 use crate::time::SimTime;
 
-/// Open/close span bookkeeping over a [`SpanSink`].
+/// Open/close span bookkeeping into a bounded [`RingSpanRecorder`].
 ///
-/// Spans flow to the sink when they close; spans still open when the
-/// trace is dumped are closed at the dump time. With a `Null` sink the
-/// tracer is inert ([`Tracer::enabled`] is `false`) and callers should
-/// skip their span bookkeeping entirely — that check is the fast path
-/// that keeps tracing free when it is off.
+/// Spans flow to the ring when they close; spans still open when the
+/// trace is dumped are closed at the dump time.
 ///
 /// # Example
 ///
 /// ```
 /// use simkit::time::SimTime;
-/// use simkit::trace::{RingSpanRecorder, SpanSink, Tracer};
+/// use simkit::trace::Tracer;
 ///
-/// let mut tracer = Tracer::new(SpanSink::Ring(RingSpanRecorder::new(64)));
+/// let mut tracer = Tracer::new(64);
 /// let drain = tracer.intern("attack.drain");
 /// let id = tracer.start(SimTime::from_secs(30), drain, None);
 /// tracer.set_attr(id, "rack", 1.0);
@@ -70,7 +64,7 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tracer {
     names: SpanNames,
-    sink: SpanSink,
+    ring: RingSpanRecorder,
     next_id: u32,
     /// Spans currently open, in open order (few at any instant; linear
     /// scans are cheaper than a map).
@@ -78,20 +72,19 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer over `sink`.
-    pub fn new(sink: SpanSink) -> Self {
+    /// Creates a tracer retaining at most `ring_capacity` finished
+    /// spans (oldest evicted first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity` is zero.
+    pub fn new(ring_capacity: usize) -> Self {
         Tracer {
             names: SpanNames::new(),
-            sink,
+            ring: RingSpanRecorder::new(ring_capacity),
             next_id: 0,
             open: Vec::new(),
         }
-    }
-
-    /// `false` when the sink drops everything and span bookkeeping can
-    /// be skipped.
-    pub fn enabled(&self) -> bool {
-        self.sink.enabled()
     }
 
     /// Interns a span name (see [`SpanNames::intern`]).
@@ -108,16 +101,14 @@ impl Tracer {
     pub fn start(&mut self, now: SimTime, name: SpanNameId, parent: Option<SpanId>) -> SpanId {
         let id = SpanId::from_index(self.next_id);
         self.next_id += 1;
-        if self.enabled() {
-            self.open.push(Span {
-                id,
-                name,
-                parent,
-                start: now,
-                end: now,
-                attrs: Vec::new(),
-            });
-        }
+        self.open.push(Span {
+            id,
+            name,
+            parent,
+            start: now,
+            end: now,
+            attrs: Vec::new(),
+        });
         id
     }
 
@@ -144,13 +135,13 @@ impl Tracer {
         }
     }
 
-    /// Closes an open span at `now`, sending it to the sink. No-op for
+    /// Closes an open span at `now`, sending it to the ring. No-op for
     /// unknown (or already-closed) ids.
     pub fn end(&mut self, now: SimTime, id: SpanId) {
         if let Some(pos) = self.open.iter().position(|s| s.id == id) {
             let mut span = self.open.remove(pos);
             span.end = now;
-            self.sink.record_span(&self.names, span);
+            self.ring.record_span(span);
         }
     }
 
@@ -164,16 +155,10 @@ impl Tracer {
     pub fn into_dump(mut self, now: SimTime) -> TraceDump {
         for mut span in std::mem::take(&mut self.open) {
             span.end = now;
-            self.sink.record_span(&self.names, span);
+            self.ring.record_span(span);
         }
-        let (spans, dropped) = match self.sink {
-            SpanSink::Null => (Vec::new(), 0),
-            SpanSink::Ring(ring) => {
-                let dropped = ring.dropped();
-                (ring.into_spans(), dropped)
-            }
-        };
-        TraceDump::new(self.names, spans, dropped)
+        let dropped = self.ring.dropped();
+        TraceDump::new(self.names, self.ring.into_spans(), dropped)
     }
 }
 
@@ -225,8 +210,7 @@ mod tests {
 
     #[test]
     fn tracer_links_parents_and_dumps_sorted() {
-        let mut tracer = Tracer::new(SpanSink::Ring(RingSpanRecorder::new(16)));
-        assert!(tracer.enabled());
+        let mut tracer = Tracer::new(16);
         let drain = tracer.intern("attack.drain");
         let spike = tracer.intern("attack.spike");
         let d = tracer.start(SimTime::from_millis(100), drain, None);
@@ -250,21 +234,8 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_records_nothing() {
-        let mut tracer = Tracer::new(SpanSink::Null);
-        assert!(!tracer.enabled());
-        let n = tracer.intern("x");
-        let id = tracer.start(SimTime::ZERO, n, None);
-        tracer.set_attr(id, "k", 1.0);
-        tracer.end(SimTime::ZERO, id);
-        assert_eq!(tracer.open_count(), 0);
-        let dump = tracer.into_dump(SimTime::ZERO);
-        assert!(dump.spans.is_empty());
-    }
-
-    #[test]
     fn set_attr_after_close_is_a_noop() {
-        let mut tracer = Tracer::new(SpanSink::Ring(RingSpanRecorder::new(4)));
+        let mut tracer = Tracer::new(4);
         let n = tracer.intern("x");
         let id = tracer.start(SimTime::ZERO, n, None);
         tracer.end(SimTime::from_millis(1), id);
@@ -275,7 +246,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_codec() {
-        let mut tracer = Tracer::new(SpanSink::Ring(RingSpanRecorder::new(4)));
+        let mut tracer = Tracer::new(4);
         let n = tracer.intern("batt.discharge");
         let id = tracer.start(SimTime::from_millis(10), n, None);
         tracer.set_attr(id, "rack", 1.0);

@@ -3,10 +3,9 @@
 //! A [`Span`] is one sim-time interval with a causal parent link — the
 //! trace analogue of the telemetry layer's point samples. Names are
 //! interned through [`SpanNames`] (the registry-style dense-id table),
-//! and finished spans flow into a [`SpanRecorder`] sink. [`SpanSink`] is
-//! the clonable enum simulations embed, mirroring
-//! [`TelemetrySink`](crate::telemetry::TelemetrySink): `Null` is the
-//! do-nothing fast path, `Ring` retains a bounded in-memory trace.
+//! and finished spans flow into a [`RingSpanRecorder`], the bounded
+//! in-memory trace a tracer owns (the span analogue of
+//! [`RingRecorder`](crate::telemetry::RingRecorder)).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -143,31 +142,6 @@ pub fn sort_spans(spans: &mut [Span]) {
     spans.sort_by_key(|s| (s.start, s.id));
 }
 
-/// A sink for finished spans — the span analogue of
-/// [`Recorder`](crate::telemetry::Recorder).
-pub trait SpanRecorder {
-    /// `false` when recording is a no-op and callers may skip span
-    /// bookkeeping entirely (the Null-gated fast path).
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accepts one finished span. `names` resolves its interned ids.
-    fn record_span(&mut self, names: &SpanNames, span: Span);
-}
-
-/// A sink that drops every span (the fast path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NullSpanRecorder;
-
-impl SpanRecorder for NullSpanRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record_span(&mut self, _names: &SpanNames, _span: Span) {}
-}
-
 /// A bounded in-memory span sink: keeps the most recent `capacity`
 /// finished spans, counting evictions.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,56 +171,18 @@ impl RingSpanRecorder {
         self.dropped
     }
 
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the ring, returning the retained spans in record order.
     pub fn into_spans(self) -> Vec<Span> {
         self.buf.into()
     }
-}
 
-impl SpanRecorder for RingSpanRecorder {
-    fn record_span(&mut self, _names: &SpanNames, span: Span) {
+    /// Accepts one finished span, evicting the oldest when full.
+    pub fn record_span(&mut self, span: Span) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(span);
-    }
-}
-
-/// The clonable span sink simulations embed, mirroring
-/// [`TelemetrySink`](crate::telemetry::TelemetrySink).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SpanSink {
-    /// Drop every span ([`NullSpanRecorder`] semantics).
-    #[default]
-    Null,
-    /// Retain a bounded in-memory trace.
-    Ring(RingSpanRecorder),
-}
-
-impl SpanRecorder for SpanSink {
-    fn enabled(&self) -> bool {
-        match self {
-            SpanSink::Null => false,
-            SpanSink::Ring(_) => true,
-        }
-    }
-
-    fn record_span(&mut self, names: &SpanNames, span: Span) {
-        match self {
-            SpanSink::Null => {}
-            SpanSink::Ring(ring) => ring.record_span(names, span),
-        }
     }
 }
 
@@ -277,20 +213,16 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts() {
-        let names = SpanNames::new();
         let mut ring = RingSpanRecorder::new(2);
         for i in 0..3u32 {
-            ring.record_span(
-                &names,
-                Span {
-                    id: SpanId(i),
-                    name: SpanNameId(0),
-                    parent: None,
-                    start: SimTime::from_millis(u64::from(i)),
-                    end: SimTime::from_millis(u64::from(i)),
-                    attrs: Vec::new(),
-                },
-            );
+            ring.record_span(Span {
+                id: SpanId(i),
+                name: SpanNameId(0),
+                parent: None,
+                start: SimTime::from_millis(u64::from(i)),
+                end: SimTime::from_millis(u64::from(i)),
+                attrs: Vec::new(),
+            });
         }
         assert_eq!(ring.dropped(), 1);
         let kept = ring.into_spans();
@@ -302,13 +234,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_ring_capacity_rejected() {
         RingSpanRecorder::new(0);
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        assert!(!SpanSink::Null.enabled());
-        assert!(SpanSink::Ring(RingSpanRecorder::new(1)).enabled());
-        assert!(!NullSpanRecorder.enabled());
     }
 
     #[test]
