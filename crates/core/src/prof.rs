@@ -133,12 +133,10 @@ impl SimProfiler {
     /// Closes one simulator step: records the whole-step wall time and
     /// accounts `rack_count × dt` simulated rack-seconds.
     #[inline]
-    pub fn finish_step(&mut self, dt: SimDuration, total: Option<Duration>) {
-        if let Some(elapsed) = total {
-            self.prof.add(self.total_id, elapsed);
-            self.steps += 1;
-            self.rack_seconds += self.rack_count as f64 * dt.as_secs_f64();
-        }
+    pub fn finish_step(&mut self, dt: SimDuration, total: Duration) {
+        self.prof.add(self.total_id, total);
+        self.steps += 1;
+        self.rack_seconds += self.rack_count as f64 * dt.as_secs_f64();
     }
 
     /// Consumes the profiler into its serializable profile.
@@ -527,10 +525,7 @@ mod tests {
     fn rack_seconds_accumulate_per_step() {
         let mut profiler = SimProfiler::new(22);
         for _ in 0..10 {
-            profiler.finish_step(
-                SimDuration::from_millis(100),
-                Some(Duration::from_micros(50)),
-            );
+            profiler.finish_step(SimDuration::from_millis(100), Duration::from_micros(50));
         }
         let profile = profiler.into_profile();
         assert_eq!(profile.steps, 10);
@@ -543,10 +538,7 @@ mod tests {
         let mut profiler = SimProfiler::new(2);
         profiler.record_phase(StepPhase::Attack, Duration::from_micros(60));
         profiler.record_phase(StepPhase::Battery, Duration::from_micros(38));
-        profiler.finish_step(
-            SimDuration::from_millis(100),
-            Some(Duration::from_micros(100)),
-        );
+        profiler.finish_step(SimDuration::from_millis(100), Duration::from_micros(100));
         let profile = profiler.into_profile();
         assert!((profile.coverage() - 0.98).abs() < 1e-9);
     }

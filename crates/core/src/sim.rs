@@ -823,10 +823,8 @@ impl ClusterSim {
     /// profiling disabled the lap timer is inert and this is one branch.
     #[inline]
     fn prof_lap(&mut self, lap: &mut LapTimer, phase: StepPhase) {
-        if let Some(elapsed) = lap.lap() {
-            if let Some(p) = &mut self.prof {
-                p.record_phase(phase, elapsed);
-            }
+        if let (Some(elapsed), Some(p)) = (lap.lap(), &mut self.prof) {
+            p.record_phase(phase, elapsed);
         }
     }
 
@@ -1735,8 +1733,8 @@ impl ClusterSim {
             }
         }
         self.prof_lap(&mut lap, StepPhase::Clock);
-        if let Some(p) = &mut self.prof {
-            p.finish_step(dt, lap.total());
+        if let (Some(total), Some(p)) = (lap.total(), &mut self.prof) {
+            p.finish_step(dt, total);
         }
         first_overload
     }

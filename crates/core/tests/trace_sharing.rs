@@ -2,11 +2,16 @@
 //! its trace exactly once, no matter how many scenarios run over it, and
 //! malformed trace input surfaces as an error, never a panic.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use pad::prelude::*;
 use simkit::time::{SimDuration, SimTime};
 use workload::trace::{trace_parse_count, ClusterTrace};
+
+/// The parse counter is process-wide and both tests here parse traces,
+/// so they run one at a time: otherwise the malformed-input test's
+/// parses can land inside the sharing test's counting window.
+static PARSE_COUNTER: Mutex<()> = Mutex::new(());
 
 /// A tiny CSV covering the 16 machines of the `small_test` topology.
 fn small_csv() -> String {
@@ -20,6 +25,7 @@ fn small_csv() -> String {
 
 #[test]
 fn sweep_parses_the_trace_exactly_once() {
+    let _serial = PARSE_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let trace = ClusterTrace::parse_csv(
         &small_csv(),
         16,
@@ -56,6 +62,7 @@ fn sweep_parses_the_trace_exactly_once() {
 
 #[test]
 fn malformed_trace_rows_error_instead_of_panicking() {
+    let _serial = PARSE_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let step = SimDuration::from_secs(60);
     let horizon = SimTime::from_hours(1);
 
