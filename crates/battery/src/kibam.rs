@@ -104,10 +104,48 @@ pub struct KibamBattery {
     rate_limit: Watts,
     /// Lifetime discharge throughput, for aging accounting.
     discharged_total: Joules,
+    /// Memoized step factors (pure functions of `params` and `dt`).
+    factors: FactorMemo,
 }
 
 /// Reference step used when quoting an instantaneous max power.
 const NOMINAL_STEP: SimDuration = SimDuration::from_millis(100);
+
+/// The parts of the closed-form step that depend only on the parameters
+/// and the step length: the valve decay `e = exp(−k'·t)` and the
+/// discharge coefficient `b_coef`.
+#[derive(Debug, Clone, Copy)]
+struct StepFactors {
+    dt: SimDuration,
+    e: f64,
+    b_coef: f64,
+}
+
+impl StepFactors {
+    fn new(params: &KibamParams, dt: SimDuration) -> Self {
+        let t = dt.as_secs_f64();
+        let k = params.k_prime;
+        let c = params.c;
+        let e = (-k * t).exp();
+        let b_coef = ((1.0 - e) + c * (k * t - 1.0 + e)) / k;
+        StepFactors { dt, e, b_coef }
+    }
+}
+
+/// Step factors for [`NOMINAL_STEP`] and for the last step length used.
+/// A cache, not state: it never takes part in equality, so two batteries
+/// in the same state compare equal whatever step each one last took.
+#[derive(Debug, Clone, Copy)]
+struct FactorMemo {
+    nominal: StepFactors,
+    last: StepFactors,
+}
+
+impl PartialEq for FactorMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 impl KibamBattery {
     /// Creates a fully charged battery.
@@ -120,6 +158,7 @@ impl KibamBattery {
         params.validate().expect("invalid KiBaM parameters");
         assert!(capacity.0 > 0.0, "capacity must be positive");
         assert!(rate_limit.0 > 0.0, "rate limit must be positive");
+        let nominal = StepFactors::new(&params, NOMINAL_STEP);
         KibamBattery {
             params,
             capacity,
@@ -127,6 +166,10 @@ impl KibamBattery {
             bound: capacity * (1.0 - params.c),
             rate_limit,
             discharged_total: Joules::ZERO,
+            factors: FactorMemo {
+                nominal,
+                last: nominal,
+            },
         }
     }
 
@@ -221,24 +264,29 @@ impl KibamBattery {
         }
     }
 
-    /// Closed-form KiBaM step coefficients for a step of length `dt`:
+    /// The step factors for `dt`, recomputed only when `dt` differs from
+    /// the last step length.
+    fn factors(&mut self, dt: SimDuration) -> StepFactors {
+        if self.factors.last.dt != dt {
+            self.factors.last = StepFactors::new(&self.params, dt);
+        }
+        self.factors.last
+    }
+
+    /// Closed-form KiBaM step coefficients for a step with factors `f`:
     /// after the step, `available' = a_coef − i·b_coef` where `i` is the
     /// (constant) discharge power, and the well total drops by `i·dt`.
-    fn step_coefficients(&self, dt: SimDuration) -> (f64, f64) {
-        let t = dt.as_secs_f64();
-        let k = self.params.k_prime;
-        let c = self.params.c;
-        let e = (-k * t).exp();
+    fn step_coefficients(&self, f: StepFactors) -> (f64, f64) {
         let y0 = self.available.0 + self.bound.0;
-        let a_coef = self.available.0 * e + y0 * c * (1.0 - e);
-        let b_coef = ((1.0 - e) + c * (k * t - 1.0 + e)) / k;
-        (a_coef, b_coef)
+        let a_coef = self.available.0 * f.e + y0 * self.params.c * (1.0 - f.e);
+        (a_coef, f.b_coef)
     }
 
     /// Applies the closed-form update for constant power `i` (positive =
     /// discharge, negative = charge *into* the available well).
     fn apply_step(&mut self, i: f64, dt: SimDuration) {
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+        let factors = self.factors(dt);
+        let (a_coef, b_coef) = self.step_coefficients(factors);
         let t = dt.as_secs_f64();
         let y0 = self.available.0 + self.bound.0;
         let new_available = (a_coef - i * b_coef).max(0.0);
@@ -258,7 +306,7 @@ impl EnergyStorage for KibamBattery {
     }
 
     fn max_discharge_power(&self) -> Watts {
-        let (a_coef, b_coef) = self.step_coefficients(NOMINAL_STEP);
+        let (a_coef, b_coef) = self.step_coefficients(self.factors.nominal);
         if b_coef <= 0.0 {
             return Watts::ZERO;
         }
@@ -272,7 +320,7 @@ impl EnergyStorage for KibamBattery {
         // headrooms are internal (post-efficiency) rates, so convert to
         // terminal power before applying the terminal-side rate limit —
         // mirroring exactly what `charge` will accept.
-        let (a_coef, b_coef) = self.step_coefficients(NOMINAL_STEP);
+        let (a_coef, b_coef) = self.step_coefficients(self.factors.nominal);
         if b_coef <= 0.0 {
             return Watts::ZERO;
         }
@@ -286,7 +334,8 @@ impl EnergyStorage for KibamBattery {
         if power.0 <= 0.0 || dt.is_zero() {
             return Watts::ZERO;
         }
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+        let factors = self.factors(dt);
+        let (a_coef, b_coef) = self.step_coefficients(factors);
         let i_max = if b_coef > 0.0 {
             (a_coef / b_coef).max(0.0)
         } else {
@@ -309,7 +358,8 @@ impl EnergyStorage for KibamBattery {
         let rate = power.0.min(self.rate_limit.0);
         // Power stored internally after conversion loss.
         let internal = rate * eta;
-        let (a_coef, b_coef) = self.step_coefficients(dt);
+        let factors = self.factors(dt);
+        let (a_coef, b_coef) = self.step_coefficients(factors);
         // Keep the available well within its own capacity...
         let well_cap = self.params.c * self.capacity.0;
         let i_well = if b_coef > 0.0 {
@@ -485,6 +535,68 @@ mod tests {
             y1
         );
         assert!((exact.bound().0 - y2).abs() < 5.0);
+    }
+
+    /// `b`'s exact state in a battery whose memo has never been used.
+    fn fresh_copy(b: &KibamBattery) -> KibamBattery {
+        KibamBattery {
+            factors: KibamBattery::new(b.capacity, b.params, b.rate_limit).factors,
+            ..b.clone()
+        }
+    }
+
+    fn state_bits(b: &KibamBattery) -> [u64; 3] {
+        [
+            b.available.0.to_bits(),
+            b.bound.0.to_bits(),
+            b.discharged_total.0.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn memoized_steps_are_bit_equal_to_fresh_ones_as_dt_alternates() {
+        let mut b = battery();
+        b.set_soc(0.6);
+        let lengths = [100, 1000, 250, 100, 100, 5000, 250, 1000];
+        for (i, &ms) in lengths.iter().cycle().take(48).enumerate() {
+            let dt = SimDuration::from_millis(ms);
+            let mut fresh = fresh_copy(&b);
+            let (got, want) = match i % 3 {
+                0 => (
+                    b.discharge(Watts(4_000.0), dt),
+                    fresh.discharge(Watts(4_000.0), dt),
+                ),
+                1 => (b.charge(Watts(900.0), dt), fresh.charge(Watts(900.0), dt)),
+                _ => {
+                    b.rest(dt);
+                    fresh.rest(dt);
+                    (b.max_discharge_power(), fresh.max_discharge_power())
+                }
+            };
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "step {i} at {ms} ms");
+            assert_eq!(state_bits(&b), state_bits(&fresh), "step {i} at {ms} ms");
+            assert_eq!(
+                b.max_charge_power().0.to_bits(),
+                fresh.max_charge_power().0.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_last_step_length() {
+        let mut a = battery();
+        let mut b = battery();
+        a.factors(SimDuration::SECOND);
+        b.factors(SimDuration::from_millis(250));
+        assert_eq!(a, b);
+        assert_eq!(a.clone(), b);
+        // The memo never leaks into results either.
+        let dt = SimDuration::from_millis(500);
+        assert_eq!(
+            a.discharge(Watts(2_000.0), dt),
+            b.discharge(Watts(2_000.0), dt)
+        );
+        assert_eq!(a, b);
     }
 
     #[test]

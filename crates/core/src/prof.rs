@@ -32,7 +32,9 @@ pub enum StepPhase {
     /// Fault-window edges and outage handling (stages 0a + 0).
     Faults,
     /// Background utilizations and the power-virus attack drive
-    /// (stages 1 + 1b).
+    /// (stages 1 + 1b). Besides the attack overlay this covers the
+    /// stage-1 trace-row refresh: the trace row lookup and the rewrite
+    /// of every rack whose row, migration offset or overlay changed.
     Attack,
     /// DVFS factor application and the PSPC capping control loop
     /// (stages 1c + 6).

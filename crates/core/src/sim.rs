@@ -268,6 +268,41 @@ struct Enforcement {
     in_overload: bool,
 }
 
+/// Per-rack working columns of one step, kept between steps so the hot
+/// loop does not allocate. Every column is rewritten (or zeroed) before
+/// it is read.
+#[derive(Debug, Clone, Default)]
+struct StepColumns {
+    /// Demand plus electrical noise (zero for a dark rack).
+    demands: Vec<Watts>,
+    /// Demand above the rack soft budget.
+    excesses: Vec<Watts>,
+    /// Power the rack's battery shaved this step.
+    battery_shave: Vec<Watts>,
+    /// Power the rack's µDEB shaved this step.
+    sc_shave: Vec<Watts>,
+    /// Grid power the rack's battery drew to recharge this step.
+    charge_drawn: Vec<Watts>,
+    /// True battery SOCs.
+    socs: Vec<f64>,
+    /// Mean offered utilization (Level-3 planning input).
+    utils: Vec<f64>,
+}
+
+impl StepColumns {
+    fn new(n: usize) -> Self {
+        StepColumns {
+            demands: vec![Watts::ZERO; n],
+            excesses: vec![Watts::ZERO; n],
+            battery_shave: vec![Watts::ZERO; n],
+            sc_shave: vec![Watts::ZERO; n],
+            charge_drawn: vec![Watts::ZERO; n],
+            socs: vec![0.0; n],
+            utils: vec![0.0; n],
+        }
+    }
+}
+
 /// The live attack on one rack.
 #[derive(Debug, Clone)]
 struct AttackState {
@@ -357,6 +392,17 @@ pub struct ClusterSim {
     migrator: LoadMigrator,
     /// Per-rack per-server utilization deltas from live migrations.
     migration_offsets: Vec<f64>,
+    /// Trace row last written into the servers (`None` before the first
+    /// step).
+    applied_row: Option<usize>,
+    /// Migration offset each rack's servers were last written with.
+    applied_offsets: Vec<f64>,
+    /// Racks whose servers no longer hold their trace baseline — the
+    /// stage-1b overlay or a [`ClusterSim::rack_mut`] edit changed them —
+    /// and are rewritten on the next step.
+    rewrite: Vec<bool>,
+    /// Per-rack working columns of [`ClusterSim::step`].
+    cols: StepColumns,
     cluster_in_overload: bool,
     // Report accumulators.
     overloads: Vec<OverloadEvent>,
@@ -497,6 +543,10 @@ impl ClusterSim {
             shedder,
             migrator,
             migration_offsets: vec![0.0; n],
+            applied_row: None,
+            applied_offsets: vec![0.0; n],
+            rewrite: vec![false; n],
+            cols: StepColumns::new(n),
             config,
             racks,
             udebs,
@@ -737,8 +787,10 @@ impl ClusterSim {
     }
 
     /// Direct access to one rack (scenario setup, e.g. pre-draining a
-    /// battery).
+    /// battery). The next step rewrites the rack's utilizations from the
+    /// trace, as it does every rack's when the trace row changes.
     pub fn rack_mut(&mut self, id: RackId) -> &mut Rack {
+        self.rewrite[id.0] = true;
         &mut self.racks[id.0]
     }
 
@@ -984,6 +1036,7 @@ impl ClusterSim {
         // previous boundary to the stage that just ran, so the per-phase
         // totals sum to the measured step wall time.
         let mut lap = LapTimer::start(self.prof.is_some());
+        let mut cols = std::mem::take(&mut self.cols);
 
         // 0a. Fault windows: detect opens/closes on the injected plan,
         // emit forensic events (so incident reconstruction can attribute
@@ -1030,14 +1083,23 @@ impl ClusterSim {
 
         // 1. Background utilizations from the trace, plus any live
         // migration deltas (Level-3 Migrate moves background load between
-        // racks; the deltas decay once the emergency passes).
+        // racks; the deltas decay once the emergency passes). The trace
+        // changes once per row (minutes of ticks), so a rack is rewritten
+        // only when its inputs changed: a new row, a new offset, or a
+        // `rewrite` flag left by the stage-1b overlay or a hand edit.
+        let row = self.trace.row_at(now);
+        let new_row = self.applied_row.replace(row) != Some(row);
+        let servers_per_rack = self.config.topology.servers_per_rack();
         for (r, rack) in self.racks.iter_mut().enumerate() {
-            let base_index = r * self.config.topology.servers_per_rack();
             let offset = self.migration_offsets[r];
-            for (slot_idx, server) in rack.servers_mut().iter_mut().enumerate() {
-                let u = self.trace.utilization_at(base_index + slot_idx, now);
-                server.set_utilization((u + offset).clamp(0.0, 1.0));
+            if !new_row && !self.rewrite[r] && offset.to_bits() == self.applied_offsets[r].to_bits()
+            {
+                continue;
             }
+            self.rewrite[r] = false;
+            self.applied_offsets[r] = offset;
+            let machines = r * servers_per_rack..(r + 1) * servers_per_rack;
+            rack.set_utilizations(self.trace.row(row, machines).map(|u| u + offset));
         }
         // 1b. Power-virus overlay. In Phase I the attacker calibrates a
         // *non-offending* visible peak: high enough that the data center
@@ -1093,6 +1155,9 @@ impl ClusterSim {
                     let combined = server.utilization().max(u);
                     server.set_utilization(combined);
                 }
+                // The overlay is a `max` over this row's baseline; the
+                // next step starts again from a fresh baseline.
+                self.rewrite[a.victim.0] = true;
             }
         }
         self.prof_lap(&mut lap, StepPhase::Attack);
@@ -1111,11 +1176,13 @@ impl ClusterSim {
         self.prof_lap(&mut lap, StepPhase::Capping);
 
         // Work accounting (offered = pre-capping, pre-shedding intent;
-        // a dark rack delivers nothing — the outage cost of a trip).
+        // a dark rack delivers nothing — the outage cost of a trip). The
+        // rack sums are recomputed here only for racks whose servers
+        // changed since the last step.
         let dt_secs = dt.as_secs_f64();
-        for (r, rack) in self.racks.iter().enumerate() {
-            self.offered_work +=
-                rack.servers().iter().map(|s| s.utilization()).sum::<f64>() * dt_secs;
+        for (r, rack) in self.racks.iter_mut().enumerate() {
+            rack.refresh_sums();
+            self.offered_work += rack.offered_load() * dt_secs;
             if self.outage_until[r].is_none() {
                 self.delivered_work += rack.delivered_work() * dt_secs;
             }
@@ -1128,16 +1195,12 @@ impl ClusterSim {
         // noise draw, and success is decided per spike (Figure 7).
         let jitter = self.config.demand_jitter;
         let rho = (-dt.as_secs_f64() / 2.0).exp();
-        let demands: Vec<Watts> = self
-            .racks
-            .iter()
-            .enumerate()
-            .map(|(r, rack)| {
-                if self.outage_until[r].is_some() {
-                    return Watts::ZERO;
-                }
+        let innovation = jitter.0 * (1.0 - rho * rho).sqrt();
+        for (r, rack) in self.racks.iter().enumerate() {
+            let demand = if self.outage_until[r].is_some() {
+                Watts::ZERO
+            } else {
                 let noise = if jitter.0 > 0.0 {
-                    let innovation = jitter.0 * (1.0 - rho * rho).sqrt();
                     self.jitter_state[r] =
                         rho * self.jitter_state[r] + self.rng.normal_with(0.0, innovation);
                     Watts(self.jitter_state[r])
@@ -1145,12 +1208,11 @@ impl ClusterSim {
                     Watts::ZERO
                 };
                 (rack.demand() + noise).clamp_non_negative()
-            })
-            .collect();
-        let excesses: Vec<Watts> = demands
-            .iter()
-            .map(|&d| (d - budget).clamp_non_negative())
-            .collect();
+            };
+            cols.demands[r] = demand;
+            cols.excesses[r] = (demand - budget).clamp_non_negative();
+        }
+        let (demands, excesses) = (&cols.demands, &cols.excesses);
 
         self.prof_lap(&mut lap, StepPhase::Demand);
 
@@ -1292,16 +1354,13 @@ impl ClusterSim {
                 .map(|f| f.config().grant_lease)
                 .unwrap_or(self.config.grant_interval),
         );
-        let grants: Vec<Watts> = (0..n)
-            .map(|r| {
-                if fallback_cap.get(r).is_some_and(|c| c.is_some()) {
-                    Watts::ZERO
-                } else {
-                    self.held[r].grant_spend(now, grant_lease)
-                }
-            })
-            .collect();
-        self.last_grant_spend.copy_from_slice(&grants);
+        for (r, spend) in self.last_grant_spend.iter_mut().enumerate() {
+            *spend = if fallback_cap.get(r).is_some_and(|c| c.is_some()) {
+                Watts::ZERO
+            } else {
+                self.held[r].grant_spend(now, grant_lease)
+            };
+        }
         self.prof_lap(&mut lap, StepPhase::Vdeb);
 
         // 4. Fast layer, every step. Planned/local battery discharge
@@ -1311,8 +1370,10 @@ impl ClusterSim {
         // any vDEB rack may emergency-top-up from its own battery, and
         // non-pooled schemes simply drain their cabinet as hard as needed
         // (the very vulnerability vDEB exists to fix).
-        let mut battery_shave = vec![Watts::ZERO; n];
-        let mut sc_shave = vec![Watts::ZERO; n];
+        let battery_shave = &mut cols.battery_shave;
+        let sc_shave = &mut cols.sc_shave;
+        battery_shave.fill(Watts::ZERO);
+        sc_shave.fill(Watts::ZERO);
         if self.config.scheme.shaves_peaks() {
             for r in 0..n {
                 if self.config.scheme.has_vdeb() {
@@ -1329,7 +1390,7 @@ impl ClusterSim {
                 } else if excesses[r].0 > 0.0 {
                     battery_shave[r] = self.racks[r].cabinet_mut().discharge(excesses[r], dt);
                 }
-                let limit = budget + grants[r];
+                let limit = budget + self.last_grant_spend[r];
                 let mut residual = (demands[r] - battery_shave[r] - limit).clamp_non_negative();
                 if residual > self.config.udeb_engage_threshold && !udeb_faulted(r) {
                     if let Some(udeb) = &mut self.udebs[r] {
@@ -1451,7 +1512,7 @@ impl ClusterSim {
                     let avg = e.energy_acc / e.time_acc;
                     e.energy_acc = 0.0;
                     e.time_acc = 0.0;
-                    let limit = budget + grants[r];
+                    let limit = budget + self.last_grant_spend[r];
                     let idle = self.racks[r].idle_power();
                     let current_factor = self.cappers[r].factor_at(now);
                     let ceiling = if e.proactive { 0.8 } else { 1.0 };
@@ -1481,21 +1542,16 @@ impl ClusterSim {
         self.prof_lap(&mut lap, StepPhase::Capping);
 
         // 7. Recharge from headroom (batteries first, then µDEB).
-        let mut charge_drawn = if telemetry_on || detection_on {
-            vec![Watts::ZERO; n]
-        } else {
-            Vec::new()
-        };
+        let charge_drawn = &mut cols.charge_drawn;
         for r in 0..n {
-            let limit = budget + grants[r];
+            let limit = budget + self.last_grant_spend[r];
             let mut headroom = (limit - self.last_draws[r]).clamp_non_negative();
+            charge_drawn[r] = Watts::ZERO;
             // Do not charge a cabinet in the same step it discharged.
             if battery_shave[r].0 == 0.0 {
                 let drawn = self.racks[r].cabinet_mut().charge_step(headroom, dt);
                 headroom = (headroom - drawn).clamp_non_negative();
-                if telemetry_on || detection_on {
-                    charge_drawn[r] = drawn;
-                }
+                charge_drawn[r] = drawn;
             }
             if let Some(udeb) = &mut self.udebs[r] {
                 // Recharge (and accumulate guard rest) only when the bank
@@ -1514,13 +1570,19 @@ impl ClusterSim {
             // The policy, like the planner, sees the *reported* SOCs —
             // a faulted sensor can mislead it, which is exactly what the
             // minimum-residency hold-down defends against.
-            let true_socs = self.rack_socs();
-            let socs = match &mut self.faults {
+            for (soc, rack) in cols.socs.iter_mut().zip(&self.racks) {
+                *soc = rack.cabinet().soc();
+            }
+            let reported;
+            let socs: &[f64] = match &mut self.faults {
                 // With no sensor window open the report is an identity
                 // copy with no RNG draws or dropout-state updates, so
                 // skipping it cannot change a later faulted reading.
-                Some(f) if f.sensor_active(now) => f.report_socs(now, &true_socs),
-                _ => true_socs,
+                Some(f) if f.sensor_active(now) => {
+                    reported = f.report_socs(now, &cols.socs);
+                    &reported
+                }
+                _ => &cols.socs,
             };
             let udeb_ok = self
                 .udebs
@@ -1528,7 +1590,7 @@ impl ClusterSim {
                 .enumerate()
                 .any(|(r, u)| !udeb_faulted(r) && u.as_ref().is_some_and(MicroDeb::available));
             let inputs = PolicyInputs {
-                vdeb_available: self.vdeb.pool_available(&socs),
+                vdeb_available: self.vdeb.pool_available(socs),
                 udeb_available: udeb_ok,
                 visible_peak: excesses.iter().any(|e| e.0 > 0.0),
                 // Evidence from ticks before this one: stage 10b feeds
@@ -1545,7 +1607,7 @@ impl ClusterSim {
                 let from = std::mem::replace(&mut self.seen_level, level);
                 self.emit(now, SimEvent::LevelChange { from, to: level });
             }
-            let pool_soc = self.vdeb.pool_soc(&socs);
+            let pool_soc = self.vdeb.pool_soc(socs);
             let shortfall = (cluster_draw - self.pdu.config().budget).clamp_non_negative();
             // Shed "only in extreme cases when cluster-wide power peaks
             // appear" (§VI.A): a genuine cluster shortfall while the pool
@@ -1553,14 +1615,10 @@ impl ClusterSim {
             let must_shed = level == SecurityLevel::Emergency
                 || (shortfall.0 > 0.0 && pool_soc < self.config.vdeb_reserve_soc + 0.2);
             if must_shed {
-                let utils: Vec<f64> = self
-                    .racks
-                    .iter()
-                    .map(|rack| {
-                        rack.servers().iter().map(|s| s.utilization()).sum::<f64>()
-                            / rack.server_count() as f64
-                    })
-                    .collect();
+                let utils = &mut cols.utils;
+                for (util, rack) in utils.iter_mut().zip(&self.racks) {
+                    *util = rack.offered_load() / rack.server_count() as f64;
+                }
                 if self.config.emergency_action == EmergencyAction::Migrate {
                     // Plan once per episode: while deltas are live, hold.
                     let live = self.migration_offsets.iter().any(|&d| d.abs() > 1e-4);
@@ -1570,8 +1628,8 @@ impl ClusterSim {
                             .collect();
                         let plan = self.migrator.plan(
                             shortfall,
-                            &socs,
-                            &utils,
+                            socs,
+                            utils,
                             &headrooms,
                             self.config.topology.servers_per_rack(),
                         );
@@ -1585,9 +1643,9 @@ impl ClusterSim {
                 } else {
                     let plan = self.shedder.plan(
                         shortfall,
-                        &socs,
+                        socs,
                         self.config.topology.servers_per_rack(),
-                        &utils,
+                        utils,
                     );
                     for (r, &count) in plan.per_rack.iter().enumerate() {
                         self.racks[r].shed_servers(count);
@@ -1732,6 +1790,7 @@ impl ClusterSim {
                 self.sample_soc();
             }
         }
+        self.cols = cols;
         self.prof_lap(&mut lap, StepPhase::Clock);
         if let (Some(total), Some(p)) = (lap.total(), &mut self.prof) {
             p.finish_step(dt, total);

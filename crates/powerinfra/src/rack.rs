@@ -15,6 +15,11 @@ use crate::topology::RackId;
 
 /// A rack: servers + battery cabinet + feed breaker.
 ///
+/// The server sums ([`Rack::demand`], [`Rack::offered_load`],
+/// [`Rack::delivered_work`]) are cached by [`Rack::refresh_sums`] and
+/// dropped by every method that can change a server, so a read is
+/// never stale: with no cache it sums the servers afresh.
+///
 /// # Example
 ///
 /// ```
@@ -33,6 +38,20 @@ pub struct Rack {
     servers: Vec<Server>,
     cabinet: BatteryCabinet,
     breaker: CircuitBreaker,
+    /// Server sums as of the last [`Rack::refresh_sums`]; `None` once a
+    /// server may have changed since.
+    sums: Option<ServerSums>,
+    /// The factor [`Rack::set_dvfs_all`] last applied to every server,
+    /// until a server is edited through [`Rack::servers_mut`].
+    dvfs_all: Option<f64>,
+}
+
+/// The per-rack server sums the simulator reads every tick.
+#[derive(Debug, Clone, Copy)]
+struct ServerSums {
+    demand: Watts,
+    offered: f64,
+    delivered: f64,
 }
 
 impl Rack {
@@ -54,6 +73,8 @@ impl Rack {
             servers: vec![Server::new(spec); server_count],
             cabinet,
             breaker: CircuitBreaker::new(breaker_rating),
+            sums: None,
+            dvfs_all: None,
         }
     }
 
@@ -87,8 +108,11 @@ impl Rack {
         &self.servers
     }
 
-    /// Mutable access to the servers.
+    /// Mutable access to the servers. Drops the cached sums and the
+    /// rack-wide DVFS factor, since any server may change.
     pub fn servers_mut(&mut self) -> &mut [Server] {
+        self.sums = None;
+        self.dvfs_all = None;
         &mut self.servers
     }
 
@@ -122,26 +146,52 @@ impl Rack {
         self.servers.iter().map(|s| s.spec().idle).sum()
     }
 
+    fn sums(&self) -> ServerSums {
+        self.sums.unwrap_or_else(|| ServerSums {
+            demand: self.servers.iter().map(Server::power).sum(),
+            offered: self.servers.iter().map(Server::utilization).sum(),
+            delivered: self.servers.iter().map(Server::delivered_work).sum(),
+        })
+    }
+
+    /// Caches the server sums until a server next changes.
+    pub fn refresh_sums(&mut self) {
+        self.sums = Some(self.sums());
+    }
+
     /// Present aggregate power demand of the servers.
     pub fn demand(&self) -> Watts {
-        self.servers.iter().map(Server::power).sum()
+        self.sums().demand
+    }
+
+    /// Present aggregate offered utilization of the servers (before
+    /// capping and shedding).
+    pub fn offered_load(&self) -> f64 {
+        self.sums().offered
     }
 
     /// Present aggregate delivered work (for the throughput metric).
     pub fn delivered_work(&self) -> f64 {
-        self.servers.iter().map(Server::delivered_work).sum()
+        self.sums().delivered
     }
 
-    /// Sets each server's offered utilization from a slice (extra entries
-    /// ignored, missing entries leave servers unchanged).
-    pub fn set_utilizations(&mut self, utilizations: &[f64]) {
-        for (server, &u) in self.servers.iter_mut().zip(utilizations) {
+    /// Sets each server's offered utilization in slot order (extra
+    /// entries ignored, missing entries leave servers unchanged).
+    pub fn set_utilizations(&mut self, utilizations: impl IntoIterator<Item = f64>) {
+        self.sums = None;
+        for (server, u) in self.servers.iter_mut().zip(utilizations) {
             server.set_utilization(u);
         }
     }
 
-    /// Applies one DVFS factor to every server (rack-level capping).
+    /// Applies one DVFS factor to every server (rack-level capping). A
+    /// repeat of the factor already applied is a no-op.
     pub fn set_dvfs_all(&mut self, factor: f64) {
+        if self.dvfs_all.map(f64::to_bits) == Some(factor.to_bits()) {
+            return;
+        }
+        self.dvfs_all = Some(factor);
+        self.sums = None;
         for server in &mut self.servers {
             server.set_dvfs(factor);
         }
@@ -159,7 +209,10 @@ impl Rack {
             } else {
                 ServerState::Active
             };
-            server.set_state(state);
+            if server.state() != state {
+                server.set_state(state);
+                self.sums = None;
+            }
         }
         asleep
     }
@@ -193,23 +246,23 @@ mod tests {
     fn demand_tracks_utilization() {
         let mut r = rack();
         assert_eq!(r.demand(), Watts(2990.0));
-        r.set_utilizations(&[1.0; 10]);
+        r.set_utilizations([1.0; 10]);
         assert_eq!(r.demand(), Watts(5210.0));
-        r.set_utilizations(&[0.5; 10]);
+        r.set_utilizations([0.5; 10]);
         assert_eq!(r.demand(), Watts(4100.0));
     }
 
     #[test]
     fn partial_utilization_slice() {
         let mut r = rack();
-        r.set_utilizations(&[1.0, 1.0]); // only first two servers
+        r.set_utilizations([1.0, 1.0]); // only first two servers
         assert_eq!(r.demand(), Watts(2990.0 + 2.0 * 222.0));
     }
 
     #[test]
     fn dvfs_all_caps_power_and_work() {
         let mut r = rack();
-        r.set_utilizations(&[1.0; 10]);
+        r.set_utilizations([1.0; 10]);
         r.set_dvfs_all(0.8);
         assert_eq!(r.demand(), Watts(2990.0 + 2220.0 * 0.8));
         assert!((r.delivered_work() - 8.0).abs() < 1e-12);
@@ -218,7 +271,7 @@ mod tests {
     #[test]
     fn shedding_sleeps_highest_slots_first() {
         let mut r = rack();
-        r.set_utilizations(&[1.0; 10]);
+        r.set_utilizations([1.0; 10]);
         assert_eq!(r.shed_servers(3), 3);
         assert_eq!(r.asleep_count(), 3);
         assert!(r.servers()[9].is_asleep());
@@ -226,6 +279,41 @@ mod tests {
         // Shedding 0 wakes everyone.
         assert_eq!(r.shed_servers(0), 0);
         assert_eq!(r.asleep_count(), 0);
+    }
+
+    #[test]
+    fn cached_sums_follow_every_server_change() {
+        let mut r = rack();
+        let fresh = |r: &Rack| {
+            let s = r.servers();
+            (
+                s.iter().map(Server::power).sum::<Watts>(),
+                s.iter().map(Server::utilization).sum::<f64>(),
+                s.iter().map(Server::delivered_work).sum::<f64>(),
+            )
+        };
+        let cached = |r: &mut Rack| {
+            r.refresh_sums();
+            (r.demand(), r.offered_load(), r.delivered_work())
+        };
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.set_utilizations([0.9; 10]);
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.set_dvfs_all(0.8);
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.shed_servers(2);
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.shed_servers(2);
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.servers_mut()[0].set_utilization(0.1);
+        assert_eq!(cached(&mut r), fresh(&r));
+        // A hand-set DVFS factor is overwritten by the next rack-wide
+        // factor, even one equal to the factor applied before the edit.
+        r.servers_mut()[1].set_dvfs(0.5);
+        assert_eq!(cached(&mut r), fresh(&r));
+        r.set_dvfs_all(0.8);
+        assert_eq!(r.servers()[1].dvfs(), 0.8);
+        assert_eq!(cached(&mut r), fresh(&r));
     }
 
     #[test]

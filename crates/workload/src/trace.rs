@@ -7,6 +7,7 @@
 //! within each step, exactly the "calculate the total CPU power demand
 //! belong to a given machine at the same timestamp" processing of §V.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simkit::series::TimeSeries;
@@ -108,6 +109,11 @@ impl TraceRecord {
 
 /// Per-machine CPU-rate time series for a whole cluster.
 ///
+/// Every machine's series shares one grid (start, step and length), so
+/// a point in time maps to one *row* — the sample index — for the whole
+/// cluster: look it up once with [`ClusterTrace::row_at`], then read
+/// machines with [`ClusterTrace::row`].
+///
 /// # Example
 ///
 /// ```
@@ -201,6 +207,7 @@ impl ClusterTrace {
         let first = series.first().expect("trace needs at least one machine");
         let step = first.step();
         for s in &series {
+            assert_eq!(s.start(), first.start(), "machine series start mismatch");
             assert_eq!(s.step(), step, "machine series step mismatch");
             assert_eq!(s.len(), first.len(), "machine series length mismatch");
         }
@@ -264,9 +271,19 @@ impl ClusterTrace {
         &self.series[machine]
     }
 
-    /// A machine's utilization at a point in time.
-    pub fn utilization_at(&self, machine: usize, t: SimTime) -> f64 {
-        self.series[machine].value_at(t)
+    /// The row (sample index) covering `t`, clamped to the trace: times
+    /// before the start read the first row, times past the end the last.
+    pub fn row_at(&self, t: SimTime) -> usize {
+        self.series[0].index_at(t)
+    }
+
+    /// The utilizations of `machines`, in machine order, in row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `machines` is out of range.
+    pub fn row(&self, row: usize, machines: Range<usize>) -> impl Iterator<Item = f64> + '_ {
+        self.series[machines].iter().map(move |s| s.values()[row])
     }
 
     /// Cluster-wide average utilization series.
@@ -466,6 +483,40 @@ mod tests {
         let sub = trace.take_machines(2);
         assert_eq!(sub.machines(), 2);
         assert_eq!(sub.machine_series(1).values(), &[0.0]);
+    }
+
+    #[test]
+    fn row_lookup_matches_each_series() {
+        let records = vec![
+            TraceRecord::new(SimTime::ZERO, SimTime::from_mins(5), 0, 0.3),
+            TraceRecord::new(SimTime::from_mins(5), SimTime::from_mins(10), 1, 0.6),
+        ];
+        let trace = ClusterTrace::from_records(
+            &records,
+            2,
+            SimDuration::from_mins(5),
+            SimTime::from_mins(10),
+        );
+        for mins in [0, 4, 5, 9, 10, 60] {
+            let t = SimTime::from_mins(mins);
+            let row: Vec<f64> = trace.row(trace.row_at(t), 0..2).collect();
+            let direct: Vec<f64> = (0..2)
+                .map(|m| trace.machine_series(m).value_at(t))
+                .collect();
+            assert_eq!(row, direct, "at {mins} min");
+        }
+        assert_eq!(trace.row_at(SimTime::from_hours(9)), 1, "clamped");
+        assert_eq!(trace.row(1, 1..2).collect::<Vec<_>>(), vec![0.6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "start mismatch")]
+    fn from_series_rejects_mismatched_starts() {
+        let step = SimDuration::from_mins(5);
+        ClusterTrace::from_series(vec![
+            TimeSeries::constant(SimTime::ZERO, step, 0.5, 4),
+            TimeSeries::constant(SimTime::from_mins(5), step, 0.5, 4),
+        ]);
     }
 
     #[test]
