@@ -353,26 +353,19 @@ impl SimDetectors {
     /// is register-only (it never receives values) and the config is
     /// structural, so neither is serialized — the bank snapshot's
     /// labels/families validate that the rebuilt structure matches.
-    pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"bank\":");
-        out.push_str(&self.bank.snapshot_json());
-        let _ = write!(
-            out,
-            ",\"fused_was_fired\":{}",
-            u8::from(self.fused_was_fired)
-        );
+    pub fn write_snapshot(&self, w: &mut simkit::jsonio::JsonWriter<'_>) {
+        self.bank.write_snapshot(w.begin_object().key("bank"));
+        w.field("fused_was_fired", u8::from(self.fused_was_fired));
         if let Some(t) = self.last_suspected {
-            let _ = write!(out, ",\"last_suspected\":{}", t.as_millis());
+            w.field("last_suspected", t.as_millis());
         }
         if let Some(t) = self.last_confirmed {
-            let _ = write!(out, ",\"last_confirmed\":{}", t.as_millis());
+            w.field("last_confirmed", t.as_millis());
         }
-        out.push('}');
-        out
+        w.end_object();
     }
 
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
+    /// Restores mutable state from a [`write_snapshot`](Self::write_snapshot)
     /// document into a stack built with the same rack count and config.
     pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
         use simkit::jsonio::ObjFields as _;

@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 
 use battery::units::Watts;
 use simkit::fault::{spec_stream, unit_stream, FaultKind, FaultPlan, FaultSpec, FaultTarget};
+use simkit::jsonio::render;
 use simkit::rng::RngStream;
 use simkit::time::{SimDuration, SimTime};
 
@@ -194,29 +195,23 @@ impl FaultReport {
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
         let c = &self.counters;
-        format!(
-            concat!(
-                "{{\"plan\":{:?},\"specs\":{},",
-                "\"injected\":{},\"cleared\":{},",
-                "\"readings_corrupted\":{},\"readings_dropped\":{},",
-                "\"plans_lost\":{},\"plans_delayed\":{},\"plans_reordered\":{},",
-                "\"plans_duplicate\":{},\"retries_used\":{},",
-                "\"fallback_ticks\":{},\"fallback_entries\":{}}}"
-            ),
-            self.plan,
-            self.specs,
-            c.injected,
-            c.cleared,
-            c.readings_corrupted,
-            c.readings_dropped,
-            c.plans_lost,
-            c.plans_delayed,
-            c.plans_reordered,
-            c.plans_duplicate,
-            c.retries_used,
-            c.fallback_ticks,
-            c.fallback_entries,
-        )
+        render(|w| {
+            w.begin_object()
+                .field("plan", &self.plan)
+                .field("specs", self.specs)
+                .field("injected", c.injected)
+                .field("cleared", c.cleared)
+                .field("readings_corrupted", c.readings_corrupted)
+                .field("readings_dropped", c.readings_dropped)
+                .field("plans_lost", c.plans_lost)
+                .field("plans_delayed", c.plans_delayed)
+                .field("plans_reordered", c.plans_reordered)
+                .field("plans_duplicate", c.plans_duplicate)
+                .field("retries_used", c.retries_used)
+                .field("fallback_ticks", c.fallback_ticks)
+                .field("fallback_entries", c.fallback_entries)
+                .end_object();
+        })
     }
 }
 

@@ -52,6 +52,7 @@
 
 use battery::units::Watts;
 use simkit::fault::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
+use simkit::jsonio::render;
 use simkit::mc::{Fnv64, McModel, McReport, Property, Violation};
 use simkit::time::{SimDuration, SimTime};
 
@@ -669,51 +670,36 @@ pub fn render_mc_report_json(
     invariants: &[String],
     report: &McReport,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"model\":\"vdeb\",\"racks\":{},\"rounds\":{},\"dup_budget\":{},\"msg_ttl\":{},",
-        config.racks, config.rounds, config.dup_budget, config.msg_ttl_rounds
-    ));
-    out.push_str(&format!(
-        "\"broken\":{:?},\"strategy\":{:?},\"invariants\":[{}],",
-        config.broken.name(),
-        strategy,
-        invariants
-            .iter()
-            .map(|n| format!("{n:?}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
-    out.push_str(&format!(
-        "\"discovered\":{},\"expanded\":{},\"deduped\":{},\"terminals\":{},",
-        report.discovered, report.expanded, report.deduped, report.terminals
-    ));
-    out.push_str(&format!(
-        "\"max_depth\":{},\"frontier_peak\":{},\"truncated\":{},\"ok\":{},",
-        report.max_depth,
-        report.frontier_peak,
-        report.truncated,
-        report.ok()
-    ));
-    out.push_str("\"violations\":[");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    render(|w| {
+        w.begin_object()
+            .field("model", "vdeb")
+            .field("racks", config.racks)
+            .field("rounds", config.rounds)
+            .field("dup_budget", config.dup_budget)
+            .field("msg_ttl", config.msg_ttl_rounds)
+            .field("broken", config.broken.name())
+            .field("strategy", strategy)
+            .field_array("invariants", invariants)
+            .field("discovered", report.discovered)
+            .field("expanded", report.expanded)
+            .field("deduped", report.deduped)
+            .field("terminals", report.terminals)
+            .field("max_depth", report.max_depth)
+            .field("frontier_peak", report.frontier_peak)
+            .field("truncated", report.truncated)
+            .field("ok", report.ok())
+            .key("violations")
+            .begin_array();
+        for v in &report.violations {
+            w.begin_object()
+                .field("property", &v.property)
+                .field("detail", &v.detail)
+                .field("depth", v.depth())
+                .field_array("trace", &v.trace)
+                .end_object();
         }
-        out.push_str(&format!(
-            "{{\"property\":{:?},\"detail\":{:?},\"depth\":{},\"trace\":[{}]}}",
-            v.property,
-            v.detail,
-            v.depth(),
-            v.trace
-                .iter()
-                .map(|s| format!("{s:?}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-    }
-    out.push_str("]}");
-    out
+        w.end_array().end_object();
+    })
 }
 
 /// The stable field schema of `mc_report.json`, one dotted path per

@@ -27,6 +27,7 @@ use simkit::alert::{
     render_alerts_json, render_rules_json, AlertEngine, AlertEvent, AlertKind, AlertRule, Compare,
     Severity,
 };
+use simkit::jsonio::{render, JsonWriter, ToJson};
 use simkit::telemetry::{MetricId, MetricRegistry, ParsedRecord};
 use simkit::time::SimTime;
 use simkit::trace::{render_report_json, Incident, IncidentReconstructor, ParsedSpan};
@@ -65,6 +66,17 @@ pub struct Escalation {
     pub from: SecurityLevel,
     /// Level after the move.
     pub to: SecurityLevel,
+}
+
+impl ToJson for Escalation {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out)
+            .begin_object()
+            .field("t", self.time_ms)
+            .field("from", self.from.number())
+            .field("to", self.to.number())
+            .end_object();
+    }
 }
 
 /// What a finished replay saw, rendered identically by the offline CLI
@@ -118,49 +130,27 @@ impl ReplaySummary {
     }
 
     /// Compact single-object JSON, newline-terminated. Field order is
-    /// fixed and values use `f64`/integer `Display`, so two identical
-    /// replays serialize byte-identically (the daemon-vs-CLI diff in CI
-    /// compares these strings directly).
+    /// fixed, so two identical replays serialize byte-identically (the
+    /// daemon-vs-CLI diff in CI compares these strings directly).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(256 + self.firings.len());
-        let _ = write!(
-            out,
-            "{{\"racks\":{},\"records\":{},\"ticks\":{},\"samples_fed\":{},\
-             \"events\":{},\"fired_ticks\":{},\"firing_count\":{},\"final_level\":{}",
-            self.racks,
-            self.records,
-            self.ticks,
-            self.samples_fed,
-            self.events,
-            self.fired_ticks,
-            self.firing_count,
-            self.final_level.number()
-        );
-        out.push_str(",\"escalations\":[");
-        for (i, e) in self.escalations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"from\":{},\"to\":{}}}",
-                e.time_ms,
-                e.from.number(),
-                e.to.number()
-            );
-        }
-        out.push_str("],\"firings\":[");
-        for (i, line) in self.firings.lines().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        JsonWriter::new(&mut out)
+            .begin_object()
+            .field("racks", self.racks)
+            .field("records", self.records)
+            .field("ticks", self.ticks)
+            .field("samples_fed", self.samples_fed)
+            .field("events", self.events)
+            .field("fired_ticks", self.fired_ticks)
+            .field("firing_count", self.firing_count)
+            .field("final_level", self.final_level.number())
+            .field_array("escalations", &self.escalations)
             // Firing lines are `time_ms label score` over an escape-free
             // charset (interned metric names and detector labels), so
             // they embed as JSON strings verbatim.
-            let _ = write!(out, "\"{line}\"");
-        }
-        out.push_str("]}\n");
+            .field_array("firings", self.firings.lines())
+            .end_object();
+        out.push('\n');
         out
     }
 }
@@ -296,34 +286,20 @@ impl ReplayPipeline {
     /// with [`ReplayPipeline::new`] and the nested snapshots validate
     /// that the rebuilt structure matches.
     pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"stack\":");
-        out.push_str(&self.stack.snapshot_json());
-        out.push_str(",\"policy\":");
-        out.push_str(&self.policy.snapshot_json());
-        if let Some(t) = self.open_tick {
-            let _ = write!(out, ",\"open_tick\":{t}");
-        }
-        let _ = write!(
-            out,
-            ",\"records\":{},\"samples_fed\":{},\"events\":{},\"ticks\":{},\"fired_ticks\":{}",
-            self.records, self.samples_fed, self.events, self.ticks, self.fired_ticks
-        );
-        out.push_str(",\"escalations\":[");
-        for (i, e) in self.escalations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        render(|w| {
+            self.stack.write_snapshot(w.begin_object().key("stack"));
+            self.policy.write_snapshot(w.key("policy"));
+            if let Some(t) = self.open_tick {
+                w.field("open_tick", t);
             }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"from\":{},\"to\":{}}}",
-                e.time_ms,
-                e.from.number(),
-                e.to.number()
-            );
-        }
-        out.push_str("]}");
-        out
+            w.field("records", self.records)
+                .field("samples_fed", self.samples_fed)
+                .field("events", self.events)
+                .field("ticks", self.ticks)
+                .field("fired_ticks", self.fired_ticks)
+                .field_array("escalations", &self.escalations)
+                .end_object();
+        })
     }
 
     /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
@@ -332,14 +308,6 @@ impl ReplayPipeline {
     /// produces a summary byte-identical to an uninterrupted run.
     pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
         use simkit::jsonio::ObjFields as _;
-        let level_from = |n: u64| -> Result<SecurityLevel, String> {
-            match n {
-                1 => Ok(SecurityLevel::Normal),
-                2 => Ok(SecurityLevel::MinorIncident),
-                3 => Ok(SecurityLevel::Emergency),
-                other => Err(format!("unknown level {other}")),
-            }
-        };
         let obj = value.as_object("pipeline snapshot")?;
         self.stack.restore_snapshot(obj.field("stack")?)?;
         self.policy.restore_snapshot(obj.field("policy")?)?;
@@ -354,8 +322,8 @@ impl ReplayPipeline {
             let eobj = item.as_object(&format!("escalation[{i}]"))?;
             self.escalations.push(Escalation {
                 time_ms: eobj.u64_field("t")?,
-                from: level_from(eobj.u64_field("from")?)?,
-                to: level_from(eobj.u64_field("to")?)?,
+                from: SecurityLevel::from_number(eobj.u64_field("from")?)?,
+                to: SecurityLevel::from_number(eobj.u64_field("to")?)?,
             });
         }
         Ok(())
@@ -651,16 +619,14 @@ impl StreamMonitor {
     /// firing watermark. Rules are configuration and are rebuilt by the
     /// caller.
     pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"registry\":");
-        out.push_str(&self.reg.snapshot_json());
-        out.push_str(",\"engine\":");
-        out.push_str(&self.engine.snapshot_json());
-        if let Some(t) = self.open_tick {
-            let _ = write!(out, ",\"open_tick\":{t}");
-        }
-        let _ = write!(out, ",\"last_firings\":{}}}", self.last_firings);
-        out
+        render(|w| {
+            self.reg.write_snapshot(w.begin_object().key("registry"));
+            self.engine.write_snapshot(w.key("engine"));
+            if let Some(t) = self.open_tick {
+                w.field("open_tick", t);
+            }
+            w.field("last_firings", self.last_firings).end_object();
+        })
     }
 
     /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)

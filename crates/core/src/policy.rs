@@ -38,6 +38,16 @@ impl SecurityLevel {
         }
     }
 
+    /// The level numbered `n` (the inverse of [`number`](Self::number)).
+    pub fn from_number(n: u64) -> Result<Self, String> {
+        match n {
+            1 => Ok(SecurityLevel::Normal),
+            2 => Ok(SecurityLevel::MinorIncident),
+            3 => Ok(SecurityLevel::Emergency),
+            other => Err(format!("unknown level {other}")),
+        }
+    }
+
     /// Display label matching Figure 9.
     pub fn label(self) -> &'static str {
         match self {
@@ -263,26 +273,20 @@ impl SecurityPolicy {
     /// Serializes the FSM's mutable state (level, transition count,
     /// residency). Strictness and hold-down are configuration and are
     /// rebuilt by the caller.
-    pub fn snapshot_json(&self) -> String {
-        format!(
-            "{{\"level\":{},\"transitions\":{},\"residency\":{}}}",
-            self.level.number(),
-            self.transitions,
-            self.residency
-        )
+    pub fn write_snapshot(&self, w: &mut simkit::jsonio::JsonWriter<'_>) {
+        w.begin_object()
+            .field("level", self.level.number())
+            .field("transitions", self.transitions)
+            .field("residency", self.residency)
+            .end_object();
     }
 
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
+    /// Restores mutable state from a [`write_snapshot`](Self::write_snapshot)
     /// document into a policy with the same configuration.
     pub fn restore_snapshot(&mut self, value: &simkit::jsonio::Json) -> Result<(), String> {
         use simkit::jsonio::ObjFields as _;
         let obj = value.as_object("policy snapshot")?;
-        self.level = match obj.u64_field("level")? {
-            1 => SecurityLevel::Normal,
-            2 => SecurityLevel::MinorIncident,
-            3 => SecurityLevel::Emergency,
-            other => return Err(format!("unknown policy level {other}")),
-        };
+        self.level = SecurityLevel::from_number(obj.u64_field("level")?)?;
         self.transitions = obj.u64_field("transitions")?;
         let residency = obj.u64_field("residency")?;
         self.residency =

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use simkit::jsonio::{JsonParser, ObjFields as _};
+use simkit::jsonio::{render, JsonParser, ObjFields as _};
 use simkit::prof::{PhaseId, PhaseProfile, ProfDump, Profiler, Throughput};
 use simkit::sweep::{SweepProfile, WorkerProfile};
 use simkit::time::SimDuration;
@@ -339,82 +339,73 @@ impl PerfReport {
     /// Serializes the report under the pinned field schema
     /// ([`perf_schema`]), one JSON object on one line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"pad.perf.v1\",");
-        out.push_str(&format!(
-            "\"config\":{{\"racks\":{},\"servers\":{},\"scheme_set\":{:?},\"ticks\":{},\
-             \"dt_ms\":{},\"scenarios\":{},\"jobs\":{},\"seed\":{}}},",
-            self.racks,
-            self.servers,
-            self.scheme_set,
-            self.ticks,
-            self.dt_ms,
-            self.scenarios,
-            self.jobs,
-            self.seed
-        ));
-        out.push_str(&format!(
-            "\"throughput\":{{\"steps\":{},\"rack_seconds\":{:.3},\"wall_sec\":{:.6},\
-             \"rack_seconds_per_wall_sec\":{:.3},\"rack_hours_per_wall_sec\":{:.6},\
-             \"steps_per_sec\":{:.1}}},",
-            self.throughput.steps,
-            self.throughput.unit_seconds,
-            self.throughput.wall.as_secs_f64(),
-            self.throughput.unit_seconds_per_wall_second(),
-            self.throughput.unit_hours_per_wall_second(),
-            self.throughput.steps_per_second()
-        ));
-        out.push_str(&format!(
-            "\"step\":{{\"wall_sec\":{:.6},\"coverage\":{:.4}}},",
-            self.profile.step_wall().as_secs_f64(),
-            self.profile.coverage()
-        ));
-        out.push_str(&format!(
-            "\"sweep\":{{\"workers\":{},\"utilization\":{:.4},\"queue_wait_sec\":{:.6},\
-             \"busy_sec\":{:.6},\"merge_sec\":{:.6},\"wall_sec\":{:.6}}},",
-            self.workers.len(),
-            self.utilization,
-            self.queue_wait.as_secs_f64(),
-            self.workers
-                .iter()
-                .map(|w| w.busy.as_secs_f64())
-                .sum::<f64>(),
-            self.workers
-                .iter()
-                .map(|w| w.merge.as_secs_f64())
-                .sum::<f64>(),
-            self.throughput.wall.as_secs_f64()
-        ));
-        out.push_str("\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let secs = |d: Duration| d.as_secs_f64();
+        let t = &self.throughput;
+        let busy: f64 = self.workers.iter().map(|w| secs(w.busy)).sum();
+        let merge: f64 = self.workers.iter().map(|w| secs(w.merge)).sum();
+        render(|w| {
+            w.begin_object()
+                .field("schema", "pad.perf.v1")
+                .key("config")
+                .begin_object()
+                .field("racks", self.racks)
+                .field("servers", self.servers)
+                .field("scheme_set", &self.scheme_set)
+                .field("ticks", self.ticks)
+                .field("dt_ms", self.dt_ms)
+                .field("scenarios", self.scenarios)
+                .field("jobs", self.jobs)
+                .field("seed", self.seed)
+                .end_object()
+                .key("throughput")
+                .begin_object()
+                .field("steps", t.steps)
+                .field_fixed("rack_seconds", t.unit_seconds, 3)
+                .field_fixed("wall_sec", secs(t.wall), 6)
+                .field_fixed(
+                    "rack_seconds_per_wall_sec",
+                    t.unit_seconds_per_wall_second(),
+                    3,
+                )
+                .field_fixed("rack_hours_per_wall_sec", t.unit_hours_per_wall_second(), 6)
+                .field_fixed("steps_per_sec", t.steps_per_second(), 1)
+                .end_object()
+                .key("step")
+                .begin_object()
+                .field_fixed("wall_sec", secs(self.profile.step_wall()), 6)
+                .field_fixed("coverage", self.profile.coverage(), 4)
+                .end_object()
+                .key("sweep")
+                .begin_object()
+                .field("workers", self.workers.len())
+                .field_fixed("utilization", self.utilization, 4)
+                .field_fixed("queue_wait_sec", secs(self.queue_wait), 6)
+                .field_fixed("busy_sec", busy, 6)
+                .field_fixed("merge_sec", merge, 6)
+                .field_fixed("wall_sec", secs(t.wall), 6)
+                .end_object()
+                .key("workers")
+                .begin_array();
+            for worker in &self.workers {
+                w.begin_object()
+                    .field("scenarios", worker.scenarios)
+                    .field_fixed("busy_sec", secs(worker.busy), 6)
+                    .field_fixed("merge_sec", secs(worker.merge), 6)
+                    .end_object();
             }
-            out.push_str(&format!(
-                "{{\"scenarios\":{},\"busy_sec\":{:.6},\"merge_sec\":{:.6}}}",
-                w.scenarios,
-                w.busy.as_secs_f64(),
-                w.merge.as_secs_f64()
-            ));
-        }
-        out.push_str("],\"phases\":[");
-        for (i, (p, share)) in self.phase_rows().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            w.end_array().key("phases").begin_array();
+            for (p, share) in self.phase_rows() {
+                w.begin_object()
+                    .field("name", &p.name)
+                    .field("calls", p.calls)
+                    .field_fixed("total_ms", secs(p.total) * 1e3, 3)
+                    .field_fixed("mean_us", secs(p.mean()) * 1e6, 3)
+                    .field_fixed("max_us", secs(p.max) * 1e6, 3)
+                    .field_fixed("share", share, 4)
+                    .end_object();
             }
-            out.push_str(&format!(
-                "{{\"name\":{:?},\"calls\":{},\"total_ms\":{:.3},\"mean_us\":{:.3},\
-                 \"max_us\":{:.3},\"share\":{:.4}}}",
-                p.name,
-                p.calls,
-                p.total.as_secs_f64() * 1e3,
-                p.mean().as_secs_f64() * 1e6,
-                p.max.as_secs_f64() * 1e6,
-                share
-            ));
-        }
-        out.push_str("]}");
-        out
+            w.end_array().end_object();
+        })
     }
 }
 

@@ -27,9 +27,10 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use simkit::chaos::{ChaosPlan, FaultProxy, WireFault};
+use simkit::jsonio::render;
 use simkit::rng::RngStream;
-use simkit::telemetry::{parse, render_parsed, Format, CSV_HEADER};
-use simkit::trace::SPAN_CSV_HEADER;
+use simkit::telemetry::{parse, render_parsed, Format, ParsedRecord, CSV_HEADER};
+use simkit::trace::{render_parsed_spans, ParsedSpan, SPAN_CSV_HEADER};
 
 use crate::client::{open_resume, send, send_resumable, Conn, RetryOpts, SendJob};
 
@@ -122,30 +123,20 @@ impl ChaosReport {
     /// The `chaos_report.json` document (flags as 0/1, repo JSON
     /// convention).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"scenarios\":[");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n{{\"name\":\"{}\",\"lossless\":{},\"killed\":{},\"identical\":{},\
-                 \"mismatches\":[{}]}}",
-                s.name,
-                u8::from(s.lossless),
-                u8::from(s.killed),
-                u8::from(s.identical),
-                s.mismatches
-                    .iter()
-                    .map(|m| format!("\"{m}\""))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-        }
-        if !self.scenarios.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("]}\n");
+        let mut out = render(|w| {
+            w.begin_object()
+                .field_lines("scenarios", &self.scenarios, |w, s| {
+                    w.begin_object()
+                        .field("name", &s.name)
+                        .field("lossless", u8::from(s.lossless))
+                        .field("killed", u8::from(s.killed))
+                        .field("identical", u8::from(s.identical))
+                        .field_array("mismatches", &s.mismatches)
+                        .end_object();
+                })
+                .end_object();
+        });
+        out.push('\n');
         out
     }
 }
@@ -156,31 +147,43 @@ impl ChaosReport {
 /// state mid-stream.
 pub fn chaos_trace(seed: u64, ticks: u64, racks: u64) -> String {
     let mut rng = RngStream::new(seed).fork("chaos-trace");
-    let mut out = String::new();
+    let mut records = Vec::new();
     for t in 0..ticks {
         for rack in 0..racks {
             let noise = rng.uniform(-2.0, 2.0);
             let spike = if t % 19 == 3 { 45.0 } else { 0.0 };
-            let v = 100.0 + rack as f64 * 5.0 + (t % 7) as f64 + noise + spike;
-            let _ = writeln!(
-                out,
-                "{{\"t\":{},\"m\":\"rack-{rack:02}.draw_w\",\"v\":{v}}}",
-                t * 100
-            );
+            records.push(ParsedRecord {
+                time_ms: t * 100,
+                name: format!("rack-{rack:02}.draw_w"),
+                source: String::new(),
+                value: 100.0 + rack as f64 * 5.0 + (t % 7) as f64 + noise + spike,
+                is_event: false,
+            });
         }
     }
-    out
+    render_parsed(&records, Format::Jsonl)
 }
 
 /// The span trace streamed alongside the telemetry (drives the
 /// incident reconstruction outputs).
 fn chaos_spans(ticks: u64) -> String {
-    let end = ticks.saturating_sub(1) * 100;
-    let mid = end / 2;
-    format!(
-        "{{\"id\":0,\"name\":\"attack.drain\",\"parent\":null,\"t0\":300,\"t1\":{mid},\"attrs\":{{\"rack\":1}}}}\n\
-         {{\"id\":1,\"name\":\"attack.spike\",\"parent\":0,\"t0\":400,\"t1\":800,\"attrs\":{{}}}}\n"
-    )
+    let drain = ParsedSpan {
+        id: 0,
+        name: "attack.drain".to_string(),
+        parent: None,
+        start_ms: 300,
+        end_ms: ticks.saturating_sub(1) * 100 / 2,
+        attrs: vec![("rack".to_string(), 1.0)],
+    };
+    let spike = ParsedSpan {
+        id: 1,
+        name: "attack.spike".to_string(),
+        parent: Some(0),
+        start_ms: 400,
+        end_ms: 800,
+        attrs: Vec::new(),
+    };
+    render_parsed_spans(&[drain, spike], Format::Jsonl)
 }
 
 /// A spawned `padsimd serve` subprocess plus its bound data address.

@@ -25,7 +25,8 @@ use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::time::Instant;
 
-use simkit::alert::{render_alerts_prom, AlertEngine};
+use simkit::alert::{render_alerts_prom, write_alerts_json, AlertEngine};
+use simkit::jsonio::render;
 use simkit::telemetry::{
     render_prometheus_families, MetricDigest, MetricRegistry, TelemetryReport,
 };
@@ -269,28 +270,21 @@ fn snapshot_monitors(state: &DaemonState, with_registries: bool) -> MonitorSnaps
 /// `alerts.json` on the shutdown flush.
 pub(crate) fn render_alerts_doc(state: &DaemonState) -> String {
     let mut firing = 0;
-    let mut emitted = 0;
-    let mut out = String::from("{\"tenants\":[");
-    for (name, tenant) in state.tenants() {
-        let guard = tenant.lock().expect("tenant lock");
-        let Some(mon) = guard.monitor() else {
-            continue;
-        };
-        firing += mon.engine().firing_count();
-        if emitted > 0 {
-            out.push(',');
-        }
-        emitted += 1;
-        let _ = write!(
-            out,
-            "\n{{\"tenant\":\"{name}\",\"alerts\":{}}}",
-            mon.alerts_json().trim_end()
-        );
-    }
-    if !out.ends_with('[') {
-        out.push('\n');
-    }
-    let _ = writeln!(out, "],\"firing\":{firing}}}");
+    let mut out = render(|w| {
+        w.begin_object()
+            .field_lines("tenants", state.tenants(), |w, (name, tenant)| {
+                let guard = tenant.lock().expect("tenant lock");
+                if let Some(mon) = guard.monitor() {
+                    firing += mon.engine().firing_count();
+                    w.begin_object().field("tenant", &name).key("alerts");
+                    write_alerts_json(mon.engine(), w);
+                    w.end_object();
+                }
+            })
+            .field("firing", firing)
+            .end_object();
+    });
+    out.push('\n');
     out
 }
 
@@ -308,49 +302,42 @@ fn render_statusz(state: &DaemonState) -> String {
     let c = &state.counters;
     let (engines, _) = snapshot_monitors(state, false);
     let firing: usize = engines.iter().map(|(_, e)| e.firing_count()).sum();
-    format!(
-        "{{\"ready\":{},\"draining\":{},\"self_obs\":{},\"tenants\":{},\
-         \"sessions_opened\":{},\"sessions_closed\":{},\"active_sessions\":{},\
-         \"records\":{},\"spans\":{},\"parse_errors\":{},\"http_requests\":{},\
-         \"alerts_firing\":{},\"ops_log_entries\":{},\"ops_log_dropped\":{},\
-         \"lines_shed\":{},\"checkpoints_written\":{},\"checkpoint_frames\":{},\
-         \"sessions_reaped\":{},\"overloaded_tenants\":{}}}\n",
-        state.is_ready(),
-        state.shutting_down(),
-        state.self_obs,
-        state.tenants().len(),
-        Counters::get(&c.sessions_opened),
-        Counters::get(&c.sessions_closed),
-        Counters::get(&c.active_sessions),
-        Counters::get(&c.records),
-        Counters::get(&c.spans),
-        Counters::get(&c.parse_errors),
-        Counters::get(&c.http_requests),
-        firing,
-        state.with_ops_log(|log| log.len()),
-        state.with_ops_log(|log| log.dropped()),
-        Counters::get(&c.lines_shed),
-        Counters::get(&c.checkpoints_written),
-        Counters::get(&c.checkpoint_frames),
-        Counters::get(&c.sessions_reaped),
-        Counters::get(&c.overloaded_tenants),
-    )
+    let mut out = render(|w| {
+        w.begin_object()
+            .field("ready", state.is_ready())
+            .field("draining", state.shutting_down())
+            .field("self_obs", state.self_obs)
+            .field("tenants", state.tenants().len())
+            .field("sessions_opened", Counters::get(&c.sessions_opened))
+            .field("sessions_closed", Counters::get(&c.sessions_closed))
+            .field("active_sessions", Counters::get(&c.active_sessions))
+            .field("records", Counters::get(&c.records))
+            .field("spans", Counters::get(&c.spans))
+            .field("parse_errors", Counters::get(&c.parse_errors))
+            .field("http_requests", Counters::get(&c.http_requests))
+            .field("alerts_firing", firing)
+            .field("ops_log_entries", state.with_ops_log(|log| log.len()))
+            .field("ops_log_dropped", state.with_ops_log(|log| log.dropped()))
+            .field("lines_shed", Counters::get(&c.lines_shed))
+            .field("checkpoints_written", Counters::get(&c.checkpoints_written))
+            .field("checkpoint_frames", Counters::get(&c.checkpoint_frames))
+            .field("sessions_reaped", Counters::get(&c.sessions_reaped))
+            .field("overloaded_tenants", Counters::get(&c.overloaded_tenants))
+            .end_object();
+    });
+    out.push('\n');
+    out
 }
 
 fn render_tenant_list(state: &DaemonState) -> String {
-    let mut out = String::from("{\"tenants\":[");
-    for (i, (_, tenant)) in state.tenants().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        let status = tenant.lock().expect("tenant lock").status_json();
-        out.push_str(status.trim_end());
-    }
-    if !out.ends_with('[') {
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    let mut out = render(|w| {
+        w.begin_object()
+            .field_lines("tenants", state.tenants(), |w, (_, tenant)| {
+                tenant.lock().expect("tenant lock").write_status(w);
+            })
+            .end_object();
+    });
+    out.push('\n');
     out
 }
 

@@ -20,6 +20,7 @@
 //! JSON (for `end`) / `ok shutdown`. Data lines are never
 //! acknowledged, so a sender can stream at full throughput.
 
+use simkit::jsonio::is_name;
 use simkit::telemetry::Format;
 
 /// Maximum accepted tenant-name length.
@@ -68,12 +69,7 @@ pub enum Line {
 /// 1–64 chars drawn from `[A-Za-z0-9._-]`, not starting with a dot or
 /// dash.
 pub fn valid_tenant(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= MAX_TENANT_LEN
-        && !name.starts_with(['.', '-'])
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
+    is_name(name) && name.len() <= MAX_TENANT_LEN && !name.starts_with(['.', '-'])
 }
 
 /// Classifies one line (without its trailing newline).

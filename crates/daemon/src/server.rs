@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use pad::pipeline::PipelineConfig;
 use simkit::alert::AlertRule;
+use simkit::jsonio::JsonWriter;
 use simkit::telemetry::render_parsed;
 
 use crate::http::{handle_http, render_alerts_doc};
@@ -278,21 +279,20 @@ pub fn flush_outputs(state: &DaemonState, dir: &PathBuf) -> io::Result<()> {
     let alerts_doc = render_alerts_doc(state);
     std::fs::write(dir.join("alerts.json"), &alerts_doc)?;
 
-    let mut report = String::from("{");
     let c = &state.counters;
-    report.push_str(&format!(
-        "\"sessions_opened\":{},\"sessions_closed\":{},\"records\":{},\
-         \"spans\":{},\"parse_errors\":{},\"http_requests\":{}",
-        Counters::get(&c.sessions_opened),
-        Counters::get(&c.sessions_closed),
-        Counters::get(&c.records),
-        Counters::get(&c.spans),
-        Counters::get(&c.parse_errors),
-        Counters::get(&c.http_requests),
-    ));
-    report.push_str(",\"tenants\":[");
+    let mut report = String::new();
+    let mut w = JsonWriter::new(&mut report);
+    w.begin_object()
+        .field("sessions_opened", Counters::get(&c.sessions_opened))
+        .field("sessions_closed", Counters::get(&c.sessions_closed))
+        .field("records", Counters::get(&c.records))
+        .field("spans", Counters::get(&c.spans))
+        .field("parse_errors", Counters::get(&c.parse_errors))
+        .field("http_requests", Counters::get(&c.http_requests))
+        .key("tenants")
+        .begin_array();
     let mut alerts_firing = 0;
-    for (i, (name, tenant)) in state.tenants().into_iter().enumerate() {
+    for (name, tenant) in state.tenants() {
         let mut guard = tenant.lock().expect("tenant lock");
         let summary = guard.finalize().clone();
         std::fs::write(dir.join(format!("{name}.detect.json")), summary.to_json())?;
@@ -317,23 +317,23 @@ pub fn flush_outputs(state: &DaemonState, dir: &PathBuf) -> io::Result<()> {
             alert_events = mon.engine().events().len();
             alerts_firing += mon.engine().firing_count();
         }
-        if i > 0 {
-            report.push(',');
-        }
-        report.push_str(&format!(
-            "\n{{\"tenant\":\"{name}\",\"records\":{},\"spans\":{},\"parse_errors\":{},\
-             \"sessions\":{},\"level\":{},\"alert_events\":{alert_events}}}",
-            guard.records.len(),
-            guard.spans.len(),
-            guard.parse_errors,
-            guard.sessions,
-            guard.level().number(),
-        ));
+        w.newline()
+            .begin_object()
+            .field("tenant", &name)
+            .field("records", guard.records.len())
+            .field("spans", guard.spans.len())
+            .field("parse_errors", guard.parse_errors)
+            .field("sessions", guard.sessions)
+            .field("level", guard.level().number())
+            .field("alert_events", alert_events)
+            .end_object();
     }
-    report.push_str(&format!(
-        "],\"alerts_firing\":{alerts_firing},\"ops_log_dropped\":{},\"ops_log\":{}}}\n",
-        state.with_ops_log(|log| log.dropped()),
-        state.with_ops_log(|log| log.render_json_array()),
-    ));
+    w.end_array()
+        .field("alerts_firing", alerts_firing)
+        .field("ops_log_dropped", state.with_ops_log(|log| log.dropped()))
+        .key("ops_log");
+    state.with_ops_log(|log| log.write_json_array(&mut w));
+    w.end_object();
+    report.push('\n');
     std::fs::write(dir.join("daemon_report.json"), report)
 }

@@ -13,7 +13,7 @@ use pad::pipeline::{
 };
 use pad::policy::SecurityLevel;
 use simkit::alert::{AlertEvent, AlertRule};
-use simkit::jsonio::{JsonParser, ObjFields};
+use simkit::jsonio::{render, JsonParser, JsonWriter, ObjFields};
 use simkit::telemetry::{
     parse_line, render_parsed, Format, MetricId, MetricRegistry, ParsedRecord,
 };
@@ -143,6 +143,17 @@ pub struct OpsEntry {
     pub detail: String,
 }
 
+impl OpsEntry {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("seq", self.seq)
+            .field("kind", self.kind)
+            .field("tenant", &self.tenant)
+            .field("detail", &self.detail)
+            .end_object();
+    }
+}
+
 /// Bounded ring of [`OpsEntry`]s: keeps the newest `cap` entries and
 /// counts evictions, so `/logs` is always a cheap, bounded read.
 #[derive(Debug)]
@@ -195,28 +206,25 @@ impl OpsLog {
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&format!(
-                "{{\"seq\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"detail\":\"{}\"}}\n",
-                e.seq, e.kind, e.tenant, e.detail
-            ));
+            e.write_json(&mut JsonWriter::new(&mut out));
+            out.push('\n');
         }
         out
     }
 
-    /// The same entries as one JSON array (for `daemon_report.json`).
+    /// The same entries as one JSON array.
     pub fn render_json_array(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"detail\":\"{}\"}}",
-                e.seq, e.kind, e.tenant, e.detail
-            ));
+        render(|w| self.write_json_array(w))
+    }
+
+    /// Writes [`render_json_array`](Self::render_json_array) into a
+    /// parent document (`daemon_report.json`).
+    pub fn write_json_array(&self, w: &mut JsonWriter<'_>) {
+        w.begin_array();
+        for e in &self.entries {
+            e.write_json(w);
         }
-        out.push(']');
-        out
+        w.end_array();
     }
 
     /// Entries evicted from the ring so far.
@@ -608,26 +616,30 @@ impl Tenant {
             .is_some_and(|pipe| pipe.stack().fused().fired)
     }
 
-    /// One-line status JSON for the HTTP API.
+    /// One-line status JSON for the HTTP API, newline-terminated.
     pub fn status_json(&self) -> String {
-        format!(
-            "{{\"tenant\":\"{}\",\"format\":\"{}\",\"records\":{},\"spans\":{},\
-             \"parse_errors\":{},\"sessions\":{},\"seq\":{},\"shed\":{},\
-             \"finished\":{},\"level\":{},\
-             \"level_label\":\"{}\",\"fused_fired\":{}}}\n",
-            self.name,
-            self.format.extension(),
-            self.records.len(),
-            self.spans.len(),
-            self.parse_errors,
-            self.sessions,
-            self.seq,
-            self.shed,
-            self.finished(),
-            self.level().number(),
-            self.level().label(),
-            self.fused_fired()
-        )
+        let mut out = render(|w| self.write_status(w));
+        out.push('\n');
+        out
+    }
+
+    /// Writes [`status_json`](Self::status_json) (without its trailing
+    /// newline) into a parent document.
+    pub fn write_status(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("tenant", &self.name)
+            .field("format", self.format.extension())
+            .field("records", self.records.len())
+            .field("spans", self.spans.len())
+            .field("parse_errors", self.parse_errors)
+            .field("sessions", self.sessions)
+            .field("seq", self.seq)
+            .field("shed", self.shed)
+            .field("finished", self.finished())
+            .field("level", self.level().number())
+            .field("level_label", self.level().label())
+            .field("fused_fired", self.fused_fired())
+            .end_object();
     }
 
     /// The tenant's incident report, reconstructed from its spans
@@ -653,33 +665,27 @@ impl Tenant {
     /// open, so each line is rendered once per stream and repeated
     /// checkpoints pay only the delta plus a buffer copy.
     pub fn checkpoint_document(&mut self) -> String {
-        use std::fmt::Write as _;
         self.refresh_ckpt_caches();
         let mut out =
             String::with_capacity(self.ckpt_records.0.len() + self.ckpt_spans.0.len() + 1024);
-        let _ = write!(
-            out,
-            "{{\"version\":{CHECKPOINT_VERSION},\"tenant\":\"{}\",\"format\":\"{}\",\
-             \"seq\":{},\"records\":{},\"spans\":{},\"parse_errors\":{},\"sessions\":{},\
-             \"shed\":{},\"finished\":{}",
-            self.name,
-            self.format.extension(),
-            self.seq,
-            self.records.len(),
-            self.spans.len(),
-            self.parse_errors,
-            self.sessions,
-            self.shed,
-            u8::from(self.summary.is_some()),
-        );
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object()
+            .field("version", CHECKPOINT_VERSION)
+            .field("tenant", &self.name)
+            .field("format", self.format.extension())
+            .field("seq", self.seq)
+            .field("records", self.records.len())
+            .field("spans", self.spans.len())
+            .field("parse_errors", self.parse_errors)
+            .field("sessions", self.sessions)
+            .field("shed", self.shed)
+            .field("finished", u8::from(self.summary.is_some()));
         if let Some(pipe) = &self.pipeline {
-            let _ = write!(out, ",\"racks\":{}", pipe.rack_count());
+            w.field("racks", pipe.rack_count());
         }
-        let _ = writeln!(
-            out,
-            ",\"has_monitor\":{}}}",
-            u8::from(self.monitor.is_some())
-        );
+        w.field("has_monitor", u8::from(self.monitor.is_some()))
+            .end_object();
+        out.push('\n');
         out.push_str(&self.ckpt_records.0);
         out.push_str(&self.ckpt_spans.0);
         if let Some(pipe) = &self.pipeline {
@@ -868,28 +874,27 @@ impl Tenant {
     /// reaches the file (see
     /// [`DaemonState::append_checkpoint_frame`]).
     fn journal_frame_document(&mut self) -> String {
-        use std::fmt::Write as _;
         self.refresh_ckpt_caches();
         let frame_no = self.journal_frame;
         let mut out = String::with_capacity(
             96 + (self.ckpt_records.0.len() - self.journal_records.0)
                 + (self.ckpt_spans.0.len() - self.journal_spans.0),
         );
-        let _ = writeln!(
-            out,
-            "{{\"frame\":{frame_no},\"base\":{},\"records\":{},\"spans\":{},\"seq\":{},\
-             \"parse_errors\":{},\"shed\":{},\"finished\":{}}}",
-            self.journal_base_seq,
-            self.ckpt_records.1 - self.journal_records.1,
-            self.ckpt_spans.1 - self.journal_spans.1,
-            self.seq,
-            self.parse_errors,
-            self.shed,
-            u8::from(self.summary.is_some()),
-        );
+        JsonWriter::new(&mut out)
+            .begin_object()
+            .field("frame", frame_no)
+            .field("base", self.journal_base_seq)
+            .field("records", self.ckpt_records.1 - self.journal_records.1)
+            .field("spans", self.ckpt_spans.1 - self.journal_spans.1)
+            .field("seq", self.seq)
+            .field("parse_errors", self.parse_errors)
+            .field("shed", self.shed)
+            .field("finished", u8::from(self.summary.is_some()))
+            .end_object();
+        out.push('\n');
         out.push_str(&self.ckpt_records.0[self.journal_records.0..]);
         out.push_str(&self.ckpt_spans.0[self.journal_spans.0..]);
-        let _ = writeln!(out, "ok frame {frame_no}");
+        out.push_str(&format!("ok frame {frame_no}\n"));
         out
     }
 
@@ -1725,10 +1730,17 @@ mod tests {
         }
         assert_eq!(Counters::get(&state.counters.checkpoints_written), 1);
         std::fs::write(dir.join("broken.ckpt"), "not a checkpoint\n").unwrap();
+        // Nesting far past the parser's depth limit: an error entry,
+        // not a stack overflow.
+        std::fs::write(dir.join("deep.ckpt"), "[".repeat(500_000)).unwrap();
 
         let mut reborn = DaemonState::new(PipelineConfig::default());
         reborn.state_dir = Some(dir.clone());
-        assert_eq!(reborn.load_checkpoints().unwrap(), 1, "corrupt one skipped");
+        assert_eq!(
+            reborn.load_checkpoints().unwrap(),
+            1,
+            "corrupt ones skipped"
+        );
         let restored = reborn.tenant("persisted").expect("restored from disk");
         let mut guard = restored.lock().unwrap();
         assert_eq!(guard.records.len(), 40);
@@ -1739,6 +1751,10 @@ mod tests {
         let log = reborn.with_ops_log(OpsLog::render_jsonl);
         assert!(log.contains("\"kind\":\"checkpoint_restore\""), "{log}");
         assert!(log.contains("\"kind\":\"checkpoint_error\""), "{log}");
+        assert!(
+            log.contains("\"tenant\":\"deep\",\"detail\":\"meta: nesting deeper than"),
+            "{log}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

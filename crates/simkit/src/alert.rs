@@ -33,7 +33,7 @@
 //! stream resumes. The rule arms only after [`DEADMAN_MIN_GAPS`]
 //! observed gaps, so a stream's first wobbly intervals can't fire it.
 
-use crate::jsonio::{Json, JsonParser, ObjFields};
+use crate::jsonio::{is_name, render, Json, JsonParser, JsonWriter, ObjFields};
 use crate::stats::Summary;
 use crate::telemetry::{MetricKind, MetricRegistry};
 
@@ -205,18 +205,13 @@ impl AlertRule {
     /// Checks the rule's name and metric against the charset both the
     /// registry and the label renderers assume.
     pub fn validate(&self) -> Result<(), String> {
-        let ok = |s: &str| {
-            !s.is_empty()
-                && s.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        };
-        if !ok(&self.name) {
+        if !is_name(&self.name) {
             return Err(format!(
                 "rule name {:?} must be non-empty [A-Za-z0-9._-]",
                 self.name
             ));
         }
-        if !ok(self.kind.metric()) {
+        if !is_name(self.kind.metric()) {
             return Err(format!(
                 "rule {:?} metric {:?} must be non-empty [A-Za-z0-9._-]",
                 self.name,
@@ -511,79 +506,52 @@ impl AlertEngine {
     /// fresh transitions — keyed by rule name for structural
     /// validation on restore. Rule definitions themselves are
     /// configuration and are rebuilt by the caller.
-    pub fn snapshot_json(&self) -> String {
-        use crate::jsonio::write_f64;
-        use std::fmt::Write as _;
-        let write_events = |out: &mut String, events: &[AlertEvent]| {
-            out.push('[');
-            for (i, ev) in events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"t\":{},\"rule\":\"{}\",\"fired\":{},\"value\":",
-                    ev.time_ms,
-                    ev.rule,
-                    u8::from(ev.fired)
-                );
-                write_f64(out, ev.value);
-                out.push('}');
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        let events = |w: &mut JsonWriter<'_>, key: &str, events: &[AlertEvent]| {
+            w.key(key).begin_array();
+            for ev in events {
+                w.begin_object()
+                    .field("t", ev.time_ms)
+                    .field("rule", &ev.rule)
+                    .field("fired", u8::from(ev.fired))
+                    .field("value", ev.value)
+                    .end_object();
             }
-            out.push(']');
+            w.end_array();
         };
-        let mut out = String::from("{\"rules\":[");
-        for (i, rule) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", rule.name);
-        }
-        out.push_str("],\"runtimes\":[");
-        for (i, rt) in self.runtimes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        w.begin_object()
+            .field_array("rules", self.rules.iter().map(|rule| &rule.name))
+            .key("runtimes")
+            .begin_array();
+        for rt in &self.runtimes {
+            w.begin_object();
             match rt.state() {
-                RuleState::Ok => out.push_str("{\"state\":\"ok\""),
+                RuleState::Ok => w.field("state", "ok"),
                 RuleState::Pending { since_ms } => {
-                    let _ = write!(out, "{{\"state\":\"pending\",\"since\":{since_ms}");
+                    w.field("state", "pending").field("since", since_ms)
                 }
-                RuleState::Firing { since_ms, value } => {
-                    let _ = write!(
-                        out,
-                        "{{\"state\":\"firing\",\"since\":{since_ms},\"value\":"
-                    );
-                    write_f64(&mut out, value);
-                }
+                RuleState::Firing { since_ms, value } => w
+                    .field("state", "firing")
+                    .field("since", since_ms)
+                    .field("value", value),
+            };
+            if let Some(sample) = rt.last_sample {
+                w.field("last_sample", sample);
             }
-            if let Some((t, v)) = rt.last_sample {
-                let _ = write!(out, ",\"last_sample\":[{t},");
-                write_f64(&mut out, v);
-                out.push(']');
+            if let Some(beat) = rt.last_beat {
+                w.field("last_beat", beat);
             }
-            if let Some((t, v)) = rt.last_beat {
-                let _ = write!(out, ",\"last_beat\":[{t},");
-                write_f64(&mut out, v);
-                out.push(']');
-            }
-            out.push_str(",\"gaps\":");
-            out.push_str(&rt.gaps.snapshot_json());
-            out.push('}');
+            rt.gaps.write_snapshot(w.key("gaps"));
+            w.end_object();
         }
-        out.push_str("],\"events\":");
-        write_events(&mut out, &self.events);
-        let _ = write!(
-            out,
-            ",\"events_dropped\":{},\"fresh\":",
-            self.events_dropped
-        );
-        write_events(&mut out, &self.fresh);
-        out.push('}');
-        out
+        w.end_array();
+        events(w, "events", &self.events);
+        w.field("events_dropped", self.events_dropped);
+        events(w, "fresh", &self.fresh);
+        w.end_object();
     }
 
-    /// Restores mutable state from a [`snapshot_json`](Self::snapshot_json)
+    /// Restores mutable state from a [`write_snapshot`](Self::write_snapshot)
     /// document into an engine built over the same rules (names are
     /// validated in order).
     pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
@@ -783,105 +751,79 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
 /// Renders rules back to the document [`parse_rules`] reads — the
 /// scaffold `padsimd serve --alerts` consumes, and a round-trip check.
 pub fn render_rules_json(rules: &[AlertRule]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"rules\":[");
-    for (i, rule) in rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{{\"name\":\"{}\",\"severity\":\"{}\",\"kind\":\"{}\",\"metric\":\"{}\"",
-            rule.name,
-            rule.severity.as_str(),
-            rule.kind.kind_str(),
-            rule.kind.metric()
-        );
-        match &rule.kind {
-            AlertKind::Threshold {
-                op, value, clear, ..
-            } => {
-                let _ = write!(out, ",\"op\":\"{}\",\"value\":{}", op.as_str(), value);
-                if let Some(clear) = clear {
-                    let _ = write!(out, ",\"clear\":{clear}");
+    let mut out = render(|w| {
+        w.begin_object().key("rules").begin_array();
+        for rule in rules {
+            w.newline()
+                .begin_object()
+                .field("name", &rule.name)
+                .field("severity", rule.severity.as_str())
+                .field("kind", rule.kind.kind_str())
+                .field("metric", rule.kind.metric());
+            match &rule.kind {
+                AlertKind::Threshold {
+                    op, value, clear, ..
+                } => {
+                    w.field("op", op.as_str()).field("value", value);
+                    if let Some(clear) = clear {
+                        w.field("clear", clear);
+                    }
+                }
+                AlertKind::Rate { max_per_sec, .. } => {
+                    w.field("max_per_sec", max_per_sec);
+                }
+                AlertKind::Deadman {
+                    factor, min_gap_ms, ..
+                } => {
+                    w.field("factor", factor).field("min_gap_ms", min_gap_ms);
                 }
             }
-            AlertKind::Rate { max_per_sec, .. } => {
-                let _ = write!(out, ",\"max_per_sec\":{max_per_sec}");
-            }
-            AlertKind::Deadman {
-                factor, min_gap_ms, ..
-            } => {
-                let _ = write!(out, ",\"factor\":{factor},\"min_gap_ms\":{min_gap_ms}");
-            }
+            w.field("for_ms", rule.for_ms)
+                .field("hold_ms", rule.hold_ms)
+                .end_object();
         }
-        let _ = write!(
-            out,
-            ",\"for_ms\":{},\"hold_ms\":{}}}",
-            rule.for_ms, rule.hold_ms
-        );
-    }
-    out.push_str("\n]}\n");
+        w.newline().end_array().end_object();
+    });
+    out.push('\n');
     out
 }
 
 /// Renders an engine's full state as the newline-terminated `/alerts`
 /// JSON document: every rule with its current state, the firing count,
-/// and the retained transition log. Field order is fixed and values
-/// use `f64`/integer `Display`, so identical evaluations render
-/// byte-identically.
+/// and the retained transition log. Field order is fixed, so identical
+/// evaluations render byte-identically.
 pub fn render_alerts_json(engine: &AlertEngine) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"rules\":[");
-    for (i, snap) in engine.snapshots().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{{\"name\":\"{}\",\"kind\":\"{}\",\"metric\":\"{}\",\"severity\":\"{}\",\"state\":\"{}\"",
-            snap.rule.name,
-            snap.rule.kind.kind_str(),
-            snap.rule.kind.metric(),
-            snap.rule.severity.as_str(),
-            snap.state
-        );
-        match snap.since_ms {
-            Some(since) => {
-                let _ = write!(out, ",\"since_ms\":{since}");
-            }
-            None => out.push_str(",\"since_ms\":null"),
-        }
-        match snap.value {
-            Some(value) => {
-                let _ = write!(out, ",\"value\":{value}");
-            }
-            None => out.push_str(",\"value\":null"),
-        }
-        out.push('}');
-    }
-    if !engine.rules().is_empty() {
-        out.push('\n');
-    }
-    let _ = write!(out, "],\"firing\":{},\"events\":[", engine.firing_count());
-    for (i, ev) in engine.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{{\"t\":{},\"rule\":\"{}\",\"event\":\"{}\",\"value\":{}}}",
-            ev.time_ms,
-            ev.rule,
-            if ev.fired { "fired" } else { "resolved" },
-            ev.value
-        );
-    }
-    if !engine.events().is_empty() {
-        out.push('\n');
-    }
-    let _ = writeln!(out, "],\"events_dropped\":{}}}", engine.events_dropped());
+    let mut out = render(|w| write_alerts_json(engine, w));
+    out.push('\n');
     out
+}
+
+/// Writes the [`render_alerts_json`] document (without its trailing
+/// newline) as the writer's next value.
+pub fn write_alerts_json(engine: &AlertEngine, w: &mut JsonWriter<'_>) {
+    w.begin_object()
+        .field_lines("rules", engine.snapshots(), |w, snap| {
+            w.begin_object()
+                .field("name", &snap.rule.name)
+                .field("kind", snap.rule.kind.kind_str())
+                .field("metric", snap.rule.kind.metric())
+                .field("severity", snap.rule.severity.as_str())
+                .field("state", snap.state)
+                .field("since_ms", snap.since_ms)
+                .field("value", snap.value)
+                .end_object();
+        })
+        .field("firing", engine.firing_count())
+        .field_lines("events", engine.events(), |w, ev| {
+            w.begin_object()
+                .field("t", ev.time_ms)
+                .field("rule", &ev.rule)
+                .field("event", if ev.fired { "fired" } else { "resolved" })
+                .field("value", ev.value)
+                .end_object();
+        })
+        .field("events_dropped", engine.events_dropped())
+        .end_object();
 }
 
 /// Renders active (pending or firing) alerts across engines as a
@@ -1130,6 +1072,25 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_render_valid_alert_documents() {
+        let (mut reg, id) = reg_with_gauge(f64::INFINITY);
+        let mut engine = AlertEngine::new(vec![threshold_rule(0, 0, None)]);
+        engine.eval(&reg, 0);
+        reg.set_gauge(id, f64::NAN);
+        engine.eval(&reg, 100);
+        let doc = render_alerts_json(&engine);
+        assert!(doc.contains("\"value\":\"inf\""), "{doc}");
+        let parsed = JsonParser::parse_document(&doc).unwrap();
+        let obj = parsed.as_object("alerts").unwrap();
+        let fired = obj.arr_field("events").unwrap()[0]
+            .as_object("event")
+            .unwrap();
+        assert_eq!(fired.f64_field_lossy("value").unwrap(), f64::INFINITY);
+        let snapshot = render(|w| engine.write_snapshot(w));
+        assert!(JsonParser::parse_document(&snapshot).is_ok());
+    }
+
+    #[test]
     fn take_transitions_drains_without_touching_history() {
         let (mut reg, id) = reg_with_gauge(3.0);
         let mut engine = AlertEngine::new(vec![threshold_rule(0, 0, None)]);
@@ -1220,7 +1181,7 @@ mod tests {
 
         let mut first = AlertEngine::new(rules());
         drive(&mut first, &mut reg, 0..23);
-        let doc = JsonParser::parse_document(&first.snapshot_json()).unwrap();
+        let doc = JsonParser::parse_document(&render(|w| first.write_snapshot(w))).unwrap();
         let mut resumed = AlertEngine::new(rules());
         resumed.restore_snapshot(&doc).unwrap();
         drive(&mut resumed, &mut reg, 23..40);
@@ -1239,7 +1200,7 @@ mod tests {
     #[test]
     fn engine_restore_rejects_rule_drift() {
         let engine = AlertEngine::new(vec![threshold_rule(0, 0, None)]);
-        let doc = JsonParser::parse_document(&engine.snapshot_json()).unwrap();
+        let doc = JsonParser::parse_document(&render(|w| engine.write_snapshot(w))).unwrap();
         let mut renamed = AlertEngine::new(vec![deadman_rule(0)]);
         assert!(renamed
             .restore_snapshot(&doc)

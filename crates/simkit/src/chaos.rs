@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::jsonio::{Json, JsonParser, ObjFields};
+use crate::jsonio::{render, Json, JsonParser, ObjFields};
 use crate::rng::RngStream;
 
 /// One transport-level fault in a [`ChaosPlan`].
@@ -236,36 +236,28 @@ impl ChaosPlan {
 
     /// Serializes the plan to its canonical single-line JSON form.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"name\":\"{}\",\"seed\":{}", self.name, self.seed);
-        if let Some(line) = self.kill_at_line {
-            let _ = write!(out, ",\"kill_at_line\":{line}");
-        }
-        out.push_str(",\"faults\":[");
-        for (i, fault) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        render(|w| {
+            w.begin_object()
+                .field("name", &self.name)
+                .field("seed", self.seed);
+            if let Some(line) = self.kill_at_line {
+                w.field("kill_at_line", line);
             }
-            let _ = write!(out, "{{\"kind\":\"{}\"", fault.name());
-            match *fault {
-                WireFault::CutAt { offset } => {
-                    let _ = write!(out, ",\"offset\":{offset}");
-                }
-                WireFault::StallAt { offset, ms } => {
-                    let _ = write!(out, ",\"offset\":{offset},\"ms\":{ms}");
-                }
-                WireFault::Chunk { max_bytes } => {
-                    let _ = write!(out, ",\"max_bytes\":{max_bytes}");
-                }
-                WireFault::DuplicateLine { index } | WireFault::GarbleLine { index } => {
-                    let _ = write!(out, ",\"index\":{index}");
-                }
+            w.key("faults").begin_array();
+            for fault in &self.faults {
+                w.begin_object().field("kind", fault.name());
+                match *fault {
+                    WireFault::CutAt { offset } => w.field("offset", offset),
+                    WireFault::StallAt { offset, ms } => w.field("offset", offset).field("ms", ms),
+                    WireFault::Chunk { max_bytes } => w.field("max_bytes", max_bytes),
+                    WireFault::DuplicateLine { index } | WireFault::GarbleLine { index } => {
+                        w.field("index", index)
+                    }
+                };
+                w.end_object();
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            w.end_array().end_object();
+        })
     }
 
     /// Parses a plan from the JSON form produced by

@@ -51,9 +51,8 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
-use crate::jsonio::{write_f64, Json, ObjFields};
+use crate::jsonio::{Json, JsonWriter, ObjFields};
 use crate::log::Severity;
 use crate::stats::OnlineStats;
 use crate::telemetry::codec::ParsedRecord;
@@ -797,21 +796,7 @@ impl DetectorBank {
 // are order-dependent, so re-deriving them would break the bit-exact
 // recovery contract.
 
-/// Serializes a `(time, value)` ring as `[[t_ms,v],...]`.
-fn write_ring(out: &mut String, ring: &VecDeque<(SimTime, f64)>) {
-    out.push('[');
-    for (i, &(t, v)) in ring.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},", t.as_millis());
-        write_f64(out, v);
-        out.push(']');
-    }
-    out.push(']');
-}
-
-/// Parses [`write_ring`] output back into a ring.
+/// Parses a `[[t_ms, value], ...]` ring back.
 fn read_ring(items: &[Json], what: &str) -> Result<VecDeque<(SimTime, f64)>, String> {
     let mut ring = VecDeque::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
@@ -829,14 +814,12 @@ fn read_ring(items: &[Json], what: &str) -> Result<VecDeque<(SimTime, f64)>, Str
 impl EwmaZScore {
     /// Serializes the learned baseline (exact bits; config is not
     /// included — it is validated structurally by the caller).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"seen\":{},\"mean\":", self.seen);
-        write_f64(&mut out, self.mean);
-        out.push_str(",\"var\":");
-        write_f64(&mut out, self.var);
-        out.push('}');
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("seen", self.seen)
+            .field("mean", self.mean)
+            .field("var", self.var)
+            .end_object();
     }
 
     /// Restores the learned baseline from a parsed snapshot.
@@ -851,15 +834,10 @@ impl EwmaZScore {
 
 impl Cusum {
     /// Serializes the calibration baseline and both accumulated sums.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"baseline\":");
-        out.push_str(&self.baseline.snapshot_json());
-        out.push_str(",\"pos\":");
-        write_f64(&mut out, self.pos);
-        out.push_str(",\"neg\":");
-        write_f64(&mut out, self.neg);
-        out.push('}');
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        self.baseline
+            .write_snapshot(w.begin_object().key("baseline"));
+        w.field("pos", self.pos).field("neg", self.neg).end_object();
     }
 
     /// Restores the baseline and accumulators from a parsed snapshot.
@@ -874,13 +852,12 @@ impl Cusum {
 
 impl SpikeTrainDetector {
     /// Serializes the internal baseline, edge state and spike ring.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"baseline\":");
-        out.push_str(&self.baseline.snapshot_json());
-        let _ = write!(out, ",\"above\":{},\"ring\":", u8::from(self.above));
-        write_ring(&mut out, &self.ring);
-        out.push('}');
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        self.baseline
+            .write_snapshot(w.begin_object().key("baseline"));
+        w.field("above", u8::from(self.above))
+            .field_array("ring", self.ring.iter().map(|&(t, v)| (t.as_millis(), v)))
+            .end_object();
     }
 
     /// Restores baseline, edge state and spike ring from a snapshot.
@@ -904,14 +881,13 @@ impl SpikeTrainDetector {
 impl DrainRateDetector {
     /// Serializes the checkpoint ring; `last_push` is present only when
     /// at least one sample was accepted.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"ring\":");
-        write_ring(&mut out, &self.ring);
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field_array("ring", self.ring.iter().map(|&(t, v)| (t.as_millis(), v)));
         if let Some(t) = self.last_push {
-            let _ = write!(out, ",\"last_push\":{}", t.as_millis());
+            w.field("last_push", t.as_millis());
         }
-        out.push('}');
-        out
+        w.end_object();
     }
 
     /// Restores the checkpoint ring from a snapshot.
@@ -925,14 +901,15 @@ impl DrainRateDetector {
 
 impl Detector {
     /// Serializes this detector's value state, tagged by family.
-    pub fn snapshot_json(&self) -> String {
-        let state = match self {
-            Detector::Ewma(d) => d.snapshot_json(),
-            Detector::Cusum(d) => d.snapshot_json(),
-            Detector::SpikeTrain(d) => d.snapshot_json(),
-            Detector::DrainRate(d) => d.snapshot_json(),
-        };
-        format!("{{\"family\":\"{}\",\"state\":{state}}}", self.family())
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object().field("family", self.family()).key("state");
+        match self {
+            Detector::Ewma(d) => d.write_snapshot(w),
+            Detector::Cusum(d) => d.write_snapshot(w),
+            Detector::SpikeTrain(d) => d.write_snapshot(w),
+            Detector::DrainRate(d) => d.write_snapshot(w),
+        }
+        w.end_object();
     }
 
     /// Restores value state, rejecting a snapshot from a different
@@ -960,44 +937,32 @@ impl DetectorBank {
     /// Serializes the bank: quorum and per-subscription identity for
     /// structural validation, every detector's value state, and the
     /// firing log (the byte-comparable artifact).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"min_votes\":{},\"subs\":[", self.min_votes);
-        for (i, sub) in self.subs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"label\":\"{}\",\"last_score\":", sub.label);
-            write_f64(&mut out, sub.last.score);
-            let _ = write!(
-                out,
-                ",\"last_fired\":{},\"fires\":{}",
-                u8::from(sub.last.fired),
-                sub.fires
-            );
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("min_votes", self.min_votes)
+            .key("subs")
+            .begin_array();
+        for sub in &self.subs {
+            w.begin_object()
+                .field("label", &sub.label)
+                .field("last_score", sub.last.score)
+                .field("last_fired", u8::from(sub.last.fired))
+                .field("fires", sub.fires);
             if let Some(t) = sub.first_fire {
-                let _ = write!(out, ",\"first_fire\":{}", t.as_millis());
+                w.field("first_fire", t.as_millis());
             }
-            out.push_str(",\"detector\":");
-            out.push_str(&sub.detector.snapshot_json());
-            out.push('}');
+            sub.detector.write_snapshot(w.key("detector"));
+            w.end_object();
         }
-        out.push_str("],\"firings\":[");
-        for (i, f) in self.firings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t\":{},\"label\":\"{}\",\"score\":",
-                f.time.as_millis(),
-                f.label
-            );
-            write_f64(&mut out, f.score);
-            out.push('}');
+        w.end_array().key("firings").begin_array();
+        for f in &self.firings {
+            w.begin_object()
+                .field("t", f.time.as_millis())
+                .field("label", &f.label)
+                .field("score", f.score)
+                .end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 
     /// Restores value state into a structurally identical bank: the
@@ -1343,7 +1308,7 @@ mod tests {
         // freshly constructed bank, continue.
         let mut first = build(&reg);
         feed(&mut first, 0..157);
-        let snap = first.snapshot_json();
+        let snap = crate::jsonio::render(|w| first.write_snapshot(w));
         let doc = crate::jsonio::JsonParser::parse_document(&snap).unwrap();
         let mut resumed = build(&reg);
         resumed.restore_snapshot(&doc).unwrap();
@@ -1362,7 +1327,7 @@ mod tests {
         let draw = reg.register_gauge("d");
         let mut bank = DetectorBank::new(1);
         bank.subscribe(draw, "d.ewma", Detector::Ewma(EwmaZScore::new(0.1, 4.0)));
-        let snap = bank.snapshot_json();
+        let snap = crate::jsonio::render(|w| bank.write_snapshot(w));
         let doc = crate::jsonio::JsonParser::parse_document(&snap).unwrap();
 
         let mut wrong_label = DetectorBank::new(1);

@@ -31,7 +31,7 @@
 //! convention as the telemetry codecs), so serialization is deterministic
 //! across platforms.
 
-use crate::jsonio::{Json, JsonParser, ObjFields};
+use crate::jsonio::{render, Json, JsonParser, ObjFields};
 use crate::rng::RngStream;
 use crate::time::SimTime;
 use std::fmt;
@@ -341,48 +341,34 @@ impl FaultPlan {
 
     /// Serializes the plan to its canonical single-line JSON form.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"name\":\"{}\",\"specs\":[", self.name);
-        for (i, spec) in self.specs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        render(|w| {
+            w.begin_object()
+                .field("name", &self.name)
+                .key("specs")
+                .begin_array();
+            for spec in &self.specs {
+                w.begin_object()
+                    .field("kind", spec.kind.name())
+                    .field("target", spec.target.wire())
+                    .field("start_ms", spec.start.as_millis())
+                    .field("end_ms", spec.end.as_millis());
+                match spec.kind {
+                    FaultKind::SensorNoise { std } => w.field("std", std),
+                    FaultKind::SensorBias { delta } => w.field("delta", delta),
+                    FaultKind::SensorStuckAt { value } => w.field("value", value),
+                    FaultKind::SensorDropout { p }
+                    | FaultKind::MsgLoss { p }
+                    | FaultKind::MsgReorder { p } => w.field("p", p),
+                    FaultKind::MsgDelay { rounds } => w.field("rounds", rounds),
+                    FaultKind::ComponentOutage => w,
+                    FaultKind::ComponentDerate { factor } | FaultKind::CapacityFade { factor } => {
+                        w.field("factor", factor)
+                    }
+                };
+                w.end_object();
             }
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"target\":\"{}\",\"start_ms\":{},\"end_ms\":{}",
-                spec.kind.name(),
-                spec.target.wire(),
-                spec.start.as_millis(),
-                spec.end.as_millis()
-            );
-            match spec.kind {
-                FaultKind::SensorNoise { std } => {
-                    let _ = write!(out, ",\"std\":{std}");
-                }
-                FaultKind::SensorBias { delta } => {
-                    let _ = write!(out, ",\"delta\":{delta}");
-                }
-                FaultKind::SensorStuckAt { value } => {
-                    let _ = write!(out, ",\"value\":{value}");
-                }
-                FaultKind::SensorDropout { p }
-                | FaultKind::MsgLoss { p }
-                | FaultKind::MsgReorder { p } => {
-                    let _ = write!(out, ",\"p\":{p}");
-                }
-                FaultKind::MsgDelay { rounds } => {
-                    let _ = write!(out, ",\"rounds\":{rounds}");
-                }
-                FaultKind::ComponentOutage => {}
-                FaultKind::ComponentDerate { factor } | FaultKind::CapacityFade { factor } => {
-                    let _ = write!(out, ",\"factor\":{factor}");
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            w.end_array().end_object();
+        })
     }
 
     /// Parses a plan from the JSON form produced by [`FaultPlan::to_json`]

@@ -1,42 +1,62 @@
-//! Minimal JSON value model, parser and rendering helpers for the
-//! workspace's line-oriented wire formats.
+//! The workspace's one JSON layer: the value model, the parser, and the
+//! streaming [`JsonWriter`] behind every JSON document the workspace
+//! emits. Separators, number format, non-finite handling and the
+//! `null`/bool spelling are decided here only; the telemetry and span
+//! line codecs keep their own fixed-shape writers.
 //!
-//! Every codec in this workspace (fault plans, alert rules, snapshots,
-//! chaos plans, checkpoints) shares one deliberately small JSON
-//! vocabulary: strings, numbers, arrays and objects. Strings follow the
-//! telemetry codecs' *no-escaping convention* — the charset is
-//! restricted (`[A-Za-z0-9._\- ]` in practice) so rendered documents
-//! never need escape sequences and [`JsonParser`] rejects them
-//! outright. Numbers use Rust's shortest-round-trip `f64` formatting,
-//! which makes every rendered document deterministic across platforms
-//! and every parsed `f64` bit-exact with the value that was written.
-//!
-//! Non-finite floats (`inf`, `-inf`, `nan`) have no JSON literal; the
-//! snapshot codecs that must round-trip them (e.g. the `±inf` min/max
-//! of an empty [`OnlineStats`](crate::stats::OnlineStats)) write them
-//! as tagged strings via [`write_f64`] and read them back with
-//! [`ObjFields::f64_field_lossy`].
-//!
-//! # Example
+//! [`JsonParser`] reads everything the writer emits: strings, numbers,
+//! arrays, objects, `null`, `true`, `false`. Strings are written
+//! verbatim and the parser rejects escapes and control characters, so
+//! names keep to [`is_name`] (event sources to [`is_plain_text`]); the
+//! metric registry and tracer enforce that on registration, the
+//! telemetry and span line parsers on every wire line. Floats use the
+//! shortest round-trip form, so parsed values are bit-exact; non-finite
+//! ones become the tagged strings `"inf"`, `"-inf"`, `"nan"`
+//! ([`write_f64`], read back by [`ObjFields::f64_field_lossy`]).
+//! Nesting deeper than [`MAX_DEPTH`] is a parse error; the deepest
+//! document the workspace writes (a checkpoint's pipeline snapshot) is
+//! 9 levels deep.
 //!
 //! ```
-//! use simkit::jsonio::{Json, JsonParser, ObjFields};
+//! use simkit::jsonio::{render, JsonParser, ObjFields};
 //!
-//! let doc = JsonParser::parse_document("{\"count\":3,\"name\":\"acme\"}").unwrap();
+//! let text = render(|w| {
+//!     w.begin_object().field("n", 3u64).field("since", None::<u64>);
+//!     w.field("ratio", f64::INFINITY).end_object();
+//! });
+//! assert_eq!(text, "{\"n\":3,\"since\":null,\"ratio\":\"inf\"}");
+//! let doc = JsonParser::parse_document(&text).unwrap();
 //! let obj = doc.as_object("doc").unwrap();
-//! assert_eq!(obj.u64_field("count").unwrap(), 3);
-//! assert_eq!(obj.str_field("name").unwrap(), "acme");
+//! assert_eq!(obj.f64_field_lossy("ratio").unwrap(), f64::INFINITY);
 //! ```
 
 use std::fmt::Write as _;
 
-/// Minimal JSON value: strings, numbers, arrays, objects — the whole
-/// vocabulary the workspace wire formats use. Booleans and `null` are
-/// deliberately absent; codecs encode flags as `0`/`1` numbers and
-/// optionality as field presence.
+/// Deepest array/object nesting [`JsonParser`] accepts.
+pub const MAX_DEPTH: usize = 64;
+
+/// `true` for a non-empty `[A-Za-z0-9._-]` name: metrics, spans,
+/// attribute keys, alert rules, tenants.
+pub fn is_name(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+}
+
+/// `true` when `s` is names separated by single spaces, or empty: the
+/// charset of event sources such as `cluster feed`.
+pub fn is_plain_text(s: &str) -> bool {
+    s.is_empty() || s.split(' ').all(is_name)
+}
+
+/// JSON value model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// A string (no-escape charset; see the module docs).
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A string (escape-free; see the module docs).
     Str(String),
     /// A number (always carried as `f64`, like JavaScript).
     Num(f64),
@@ -102,6 +122,200 @@ pub fn write_f64(out: &mut String, value: f64) {
     }
 }
 
+/// A value [`JsonWriter`] can emit: integers in `Display` form, `f64`
+/// via [`write_f64`], strings verbatim, bools, `None` as `null`, pairs
+/// as two-element arrays.
+pub trait ToJson {
+    /// Appends this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! to_json {
+    ($($t:ty => |$v:ident, $out:ident| $body:expr;)*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, $out: &mut String) {
+                let $v = self;
+                let _ = $body;
+            }
+        }
+    )*};
+}
+
+to_json! {
+    str => |s, out| {
+        debug_assert!(!s.contains(['"', '\\']) && !s.contains(char::is_control), "{s:?}");
+        out.push('"');
+        out.push_str(s);
+        out.push('"')
+    };
+    String => |s, out| s.as_str().write_json(out);
+    f64 => |v, out| write_f64(out, *v);
+    bool => |b, out| out.push_str(if *b { "true" } else { "false" });
+    u8 => |n, out| write!(out, "{n}");
+    u32 => |n, out| write!(out, "{n}");
+    u64 => |n, out| write!(out, "{n}");
+    usize => |n, out| write!(out, "{n}");
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+/// Streaming JSON writer over a caller's `String`: values, keys and
+/// brackets go in document order and the writer places the commas.
+/// Nested values write into the same writer. [`newline`](Self::newline)
+/// owes a line break that lands after the next separator or before the
+/// next closing bracket, giving the line-per-element layout
+/// (`[\n{..},\n{..}\n]`) of the operator-facing documents.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// The next item needs a leading comma.
+    comma: bool,
+    /// A line break is owed before the next item or closer.
+    newline: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter {
+            out,
+            comma: false,
+            newline: false,
+        }
+    }
+
+    /// Emits the separator before an item (when `item`) and any owed
+    /// line break.
+    fn sep(&mut self, item: bool) -> &mut String {
+        if item && std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        if std::mem::take(&mut self.newline) {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    fn bracket(&mut self, bracket: char, open: bool) -> &mut Self {
+        self.sep(open).push(bracket);
+        self.comma = !open;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.bracket('{', true)
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.bracket('}', false)
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.bracket('[', true)
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.bracket(']', false)
+    }
+
+    /// Writes an object key; the next item is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.value(key).out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes one value.
+    pub fn value(&mut self, value: impl ToJson) -> &mut Self {
+        value.write_json(self.sep(true));
+        self
+    }
+
+    /// Writes `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Writes `"key":` and `value` with exactly `decimals` fractional
+    /// digits (`{:.N}`); non-finite values fall back to [`write_f64`].
+    pub fn field_fixed(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
+        if !value.is_finite() {
+            return self.field(key, value);
+        }
+        let _ = write!(self.key(key).sep(true), "{value:.decimals$}");
+        self
+    }
+
+    /// Writes `"key":` and `items` as one array.
+    pub fn field_array<T: ToJson>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+    ) -> &mut Self {
+        self.key(key).begin_array();
+        for item in items {
+            self.value(item);
+        }
+        self.end_array()
+    }
+
+    /// Writes `"key":` and an array with one `write`-rendered item per
+    /// line, closing with `\n]` when non-empty.
+    pub fn field_lines<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        self.key(key).begin_array();
+        for item in items {
+            write(self.newline(), item);
+        }
+        // Only a list that wrote an item closes on a line of its own.
+        self.newline = self.comma;
+        self.end_array()
+    }
+
+    /// Owes a line break before the next item or closing bracket.
+    pub fn newline(&mut self) -> &mut Self {
+        self.newline = true;
+        self
+    }
+}
+
+/// Renders one document into a fresh `String`.
+pub fn render(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let mut out = String::new();
+    write(&mut JsonWriter::new(&mut out));
+    out
+}
+
 fn parse_tagged_f64(s: &str) -> Option<f64> {
     match s {
         "inf" => Some(f64::INFINITY),
@@ -127,7 +341,8 @@ pub trait ObjFields {
     fn f64_field_lossy(&self, key: &str) -> Result<f64, String>;
     /// Field `key` as a non-negative integer.
     fn u64_field(&self, key: &str) -> Result<u64, String>;
-    /// Field `key` as a non-negative integer, or `None` when absent.
+    /// Field `key` as a non-negative integer, or `None` when absent or
+    /// `null`.
     fn opt_u64_field(&self, key: &str) -> Result<Option<u64>, String>;
     /// Field `key` as an array.
     fn arr_field(&self, key: &str) -> Result<&[Json], String>;
@@ -164,27 +379,18 @@ impl ObjFields for &[(String, Json)] {
     }
 
     fn u64_field(&self, key: &str) -> Result<u64, String> {
-        let n = self.f64_field(key)?;
-        if n.fract() != 0.0 || n < 0.0 || n > u64::MAX as f64 {
-            return Err(format!(
-                "field {key:?} must be a non-negative integer, got {n}"
-            ));
-        }
-        Ok(n as u64)
+        self.field(key)?.as_u64(&format!("field {key:?}"))
     }
 
     fn opt_u64_field(&self, key: &str) -> Result<Option<u64>, String> {
         match self.opt_field(key) {
-            None => Ok(None),
+            None | Some(Json::Null) => Ok(None),
             Some(v) => v.as_u64(&format!("field {key:?}")).map(Some),
         }
     }
 
     fn arr_field(&self, key: &str) -> Result<&[Json], String> {
-        match self.field(key)? {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("field {key:?} must be an array")),
-        }
+        self.field(key)?.as_array(&format!("field {key:?}"))
     }
 
     fn obj_field(&self, key: &str) -> Result<&[(String, Json)], String> {
@@ -193,11 +399,12 @@ impl ObjFields for &[(String, Json)] {
 }
 
 /// Hand-rolled recursive-descent parser for the workspace wire formats.
-/// Strings are unescaped-charset only (`[A-Za-z0-9._\- ]` in practice),
-/// matching the telemetry codecs' no-escaping convention.
+/// Strings must be escape- and control-free (what [`JsonWriter`]
+/// writes), numbers finite, and nesting at most [`MAX_DEPTH`] deep.
 pub struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -207,6 +414,7 @@ impl<'a> JsonParser<'a> {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -246,17 +454,83 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
+        let literal = |word: &str| self.bytes[self.pos..].starts_with(word.as_bytes());
         match self.peek() {
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.items(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    fields.push((key, p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(b']', |p| p.value().map(|v| items.push(v)))?;
+                Ok(Json::Arr(items))
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            _ if literal("null") => self.word(4, Json::Null),
+            _ if literal("true") => self.word(4, Json::Bool(true)),
+            _ if literal("false") => self.word(5, Json::Bool(false)),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
                 self.pos
             )),
         }
+    }
+
+    fn word(&mut self, len: usize, value: Json) -> Result<Json, String> {
+        self.pos += len;
+        Ok(value)
+    }
+
+    /// Parses the comma-separated items of the array or object whose
+    /// opening bracket is next, through `close`.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    other => {
+                        return Err(format!(
+                            "expected ',' or {:?}, found {:?}",
+                            close as char,
+                            other.map(|c| c as char)
+                        ))
+                    }
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -268,6 +542,9 @@ impl<'a> JsonParser<'a> {
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
                 if s.contains('\\') {
                     return Err("escaped strings are not supported".to_string());
+                }
+                if s.chars().any(char::is_control) {
+                    return Err("control character in string".to_string());
                 }
                 self.pos += 1;
                 return Ok(s.to_string());
@@ -286,67 +563,10 @@ impl<'a> JsonParser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' in object, found {:?}",
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' in array, found {:?}",
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number {text:?} out of range at byte {start}")),
+            Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
         }
     }
 }
@@ -401,6 +621,91 @@ mod tests {
         assert!(JsonParser::parse_document("{} junk")
             .unwrap_err()
             .contains("trailing"));
+    }
+
+    #[test]
+    fn writer_places_commas_and_owed_newlines() {
+        let text = render(|w| {
+            w.begin_object().field("a", 1u64).key("rows").begin_array();
+            for i in 0..2u64 {
+                w.newline().begin_object().field("i", i).end_object();
+            }
+            w.newline().end_array();
+            w.field_array("empty", [0u64; 0])
+                .field("flag", true)
+                .field("none", None::<u64>)
+                .field_fixed("ms", 1.5, 3)
+                .field_fixed("bad", f64::NAN, 3)
+                .end_object();
+        });
+        assert_eq!(
+            text,
+            "{\"a\":1,\"rows\":[\n{\"i\":0},\n{\"i\":1}\n],\"empty\":[],\
+             \"flag\":true,\"none\":null,\"ms\":1.500,\"bad\":\"nan\"}"
+        );
+        assert_eq!(
+            render(|w| {
+                w.value((1.5, -0.0));
+            }),
+            "[1.5,-0]"
+        );
+    }
+
+    #[test]
+    fn null_and_bools_round_trip() {
+        let text = render(|w| {
+            w.begin_object()
+                .field("n", None::<u64>)
+                .field("t", true)
+                .field("f", false)
+                .end_object();
+        });
+        let doc = JsonParser::parse_document(&text).unwrap();
+        let obj = doc.as_object("doc").unwrap();
+        assert_eq!(obj.field("n").unwrap(), &Json::Null);
+        assert_eq!(obj.field("t").unwrap(), &Json::Bool(true));
+        assert_eq!(obj.field("f").unwrap(), &Json::Bool(false));
+        assert_eq!(obj.opt_u64_field("n").unwrap(), None);
+        assert!(JsonParser::parse_document("nul").is_err());
+        assert!(JsonParser::parse_document("truex").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonParser::parse_document(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(JsonParser::parse_document(&over)
+            .unwrap_err()
+            .contains("nesting deeper"));
+        // Far past the limit the parser still fails fast instead of
+        // overflowing the stack.
+        let hostile = "[{\"a\":".repeat(200_000);
+        assert!(JsonParser::parse_document(&hostile)
+            .unwrap_err()
+            .contains("nesting deeper"));
+    }
+
+    #[test]
+    fn parser_rejects_control_characters_and_overflowing_numbers() {
+        assert!(JsonParser::parse_document("\"a\tb\"")
+            .unwrap_err()
+            .contains("control"));
+        assert!(JsonParser::parse_document("1e999")
+            .unwrap_err()
+            .contains("out of range"));
+    }
+
+    #[test]
+    fn name_charset() {
+        assert!(is_name("rack-00.draw_w"));
+        assert!(!is_name(""));
+        assert!(!is_name("cluster feed"));
+        assert!(!is_name("dr\"ain"));
+        assert!(is_plain_text("cluster feed"));
+        assert!(is_plain_text(""));
+        assert!(!is_plain_text("a\\b"));
+        assert!(!is_plain_text("a\nb"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cumulative distribution used for Figure 1, and [`Histogram`] buckets
 //! values for quick text plots.
 
-use crate::jsonio::{write_f64, Json, ObjFields};
+use crate::jsonio::{Json, JsonWriter, ObjFields};
 
 /// One-pass mean/variance accumulator (Welford's algorithm).
 ///
@@ -155,25 +155,18 @@ impl OnlineStats {
     /// object. Welford's `m2` is *order-dependent*, so the fields are
     /// written verbatim (never re-derived); the `±inf` min/max of an
     /// empty accumulator round-trip as tagged strings.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"count\":");
-        out.push_str(&self.count.to_string());
-        out.push_str(",\"mean\":");
-        write_f64(&mut out, self.mean);
-        out.push_str(",\"m2\":");
-        write_f64(&mut out, self.m2);
-        out.push_str(",\"min\":");
-        write_f64(&mut out, self.min);
-        out.push_str(",\"max\":");
-        write_f64(&mut out, self.max);
-        out.push_str(",\"nans\":");
-        out.push_str(&self.nans.to_string());
-        out.push('}');
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("count", self.count)
+            .field("mean", self.mean)
+            .field("m2", self.m2)
+            .field("min", self.min)
+            .field("max", self.max)
+            .field("nans", self.nans)
+            .end_object();
     }
 
-    /// Rebuilds an accumulator from [`snapshot_json`](Self::snapshot_json)
+    /// Rebuilds an accumulator from [`write_snapshot`](Self::write_snapshot)
     /// output (parsed). The restored value is bit-exact with the
     /// snapshotted one.
     pub fn from_snapshot(value: &Json) -> Result<OnlineStats, String> {
@@ -291,21 +284,12 @@ impl Summary {
     /// plus the running accumulator (whose `m2` depends on *push*
     /// order, which the sorted sample no longer records — so both are
     /// written).
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"stats\":");
-        out.push_str(&self.stats.snapshot_json());
-        out.push_str(",\"sorted\":[");
-        for (i, &v) in self.sorted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_f64(&mut out, v);
-        }
-        out.push_str("]}");
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        self.stats.write_snapshot(w.begin_object().key("stats"));
+        w.field_array("sorted", &self.sorted).end_object();
     }
 
-    /// Rebuilds a summary from [`snapshot_json`](Self::snapshot_json)
+    /// Rebuilds a summary from [`write_snapshot`](Self::write_snapshot)
     /// output (parsed).
     pub fn from_snapshot(value: &Json) -> Result<Summary, String> {
         let obj = value.as_object("summary snapshot")?;
@@ -587,27 +571,17 @@ impl Histogram {
 
     /// Serializes the histogram's value state (`counts` and `sum`; the
     /// shape is restated for validation on restore).
-    pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"lo\":");
-        write_f64(&mut out, self.lo);
-        out.push_str(",\"hi\":");
-        write_f64(&mut out, self.hi);
-        out.push_str(",\"counts\":[");
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c}");
-        }
-        out.push_str("],\"sum\":");
-        write_f64(&mut out, self.sum);
-        out.push('}');
-        out
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("lo", self.lo)
+            .field("hi", self.hi)
+            .field_array("counts", &self.counts)
+            .field("sum", self.sum)
+            .end_object();
     }
 
     /// Overwrites this histogram's counts and sum from a parsed
-    /// [`snapshot_json`](Self::snapshot_json) document, validating that
+    /// [`write_snapshot`](Self::write_snapshot) document, validating that
     /// the snapshot's range and bucket count match this histogram's
     /// construction-time shape.
     pub fn restore_snapshot(&mut self, value: &Json) -> Result<(), String> {
@@ -889,13 +863,22 @@ mod tests {
             s.push((i as f64).sin() * 10.0 + 0.1);
         }
         s.push(f64::NAN);
-        let doc = crate::jsonio::JsonParser::parse_document(&s.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            s.write_snapshot(w)
+        }))
+        .unwrap();
         let restored = OnlineStats::from_snapshot(&doc).unwrap();
         assert_eq!(restored, s);
-        assert_eq!(restored.snapshot_json(), s.snapshot_json());
+        assert_eq!(
+            crate::jsonio::render(|w| restored.write_snapshot(w)),
+            crate::jsonio::render(|w| s.write_snapshot(w))
+        );
         // Empty accumulator carries non-finite min/max.
         let empty = OnlineStats::new();
-        let doc = crate::jsonio::JsonParser::parse_document(&empty.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            empty.write_snapshot(w)
+        }))
+        .unwrap();
         assert_eq!(OnlineStats::from_snapshot(&doc).unwrap(), empty);
     }
 
@@ -905,11 +888,16 @@ mod tests {
         for v in [5.5, 1.25, 3.0, 2.75, 4.125, 3.0] {
             s.push(v);
         }
-        let doc = crate::jsonio::JsonParser::parse_document(&s.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            s.write_snapshot(w)
+        }))
+        .unwrap();
         let restored = Summary::from_snapshot(&doc).unwrap();
         assert_eq!(restored, s);
-        let empty_doc =
-            crate::jsonio::JsonParser::parse_document(&Summary::new().snapshot_json()).unwrap();
+        let empty_doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            Summary::new().write_snapshot(w)
+        }))
+        .unwrap();
         assert_eq!(Summary::from_snapshot(&empty_doc).unwrap(), Summary::new());
     }
 
@@ -919,7 +907,10 @@ mod tests {
         for v in [1.0, 3.5, 9.9, 42.0] {
             h.push(v);
         }
-        let doc = crate::jsonio::JsonParser::parse_document(&h.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            h.write_snapshot(w)
+        }))
+        .unwrap();
         let mut fresh = Histogram::new(0.0, 10.0, 5);
         fresh.restore_snapshot(&doc).unwrap();
         assert_eq!(fresh, h);

@@ -3,9 +3,9 @@
 //!
 //! Formats are hand-rolled (the workspace has no serde) but strict and
 //! versionless by construction: metric names are restricted to
-//! `[A-Za-z0-9._-]` and event sources to the same charset, so no
-//! escaping is ever needed and every line is trivially machine- and
-//! grep-readable.
+//! `[A-Za-z0-9._-]` and event sources to such names joined by spaces
+//! (the parser rejects anything else per line), so no escaping is ever
+//! needed and every line is trivially machine- and grep-readable.
 //!
 //! # Wire formats
 //!
@@ -28,6 +28,7 @@
 //! round-trip representation), which is deterministic across platforms —
 //! the basis of the byte-identical determinism contract.
 
+use crate::jsonio::{is_name, is_plain_text};
 use crate::telemetry::record::{EventKind, Record};
 use crate::telemetry::registry::MetricRegistry;
 use crate::time::SimTime;
@@ -210,6 +211,19 @@ pub(crate) fn unquote(s: &str, line: usize) -> Result<&str, ParseError> {
         .ok_or_else(|| err(line, format!("expected quoted string, got {s:?}")))
 }
 
+/// `text` when `ok(text)` holds, else a per-line error naming it as
+/// `what`: the wire boundary that keeps every renderer escape-free.
+pub(crate) fn checked<'a>(
+    text: &'a str,
+    ok: fn(&str) -> bool,
+    what: &str,
+    line: usize,
+) -> Result<&'a str, ParseError> {
+    ok(text)
+        .then_some(text)
+        .ok_or_else(|| err(line, format!("{what} {text:?} is outside the wire charset")))
+}
+
 fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseError> {
     let rest = line_text
         .strip_prefix('{')
@@ -221,7 +235,7 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
         .map_err(|_| err(line, format!("bad time {t_field:?}")))?;
     if let Ok(rest) = expect_key(rest, "m", line) {
         let (m_field, rest) = next_field(rest, line)?;
-        let name = unquote(m_field, line)?.to_string();
+        let name = checked(unquote(m_field, line)?, is_name, "metric name", line)?.to_string();
         let rest = expect_key(rest, "v", line)?;
         let (v_field, rest) = next_field(rest, line)?;
         let value: f64 = v_field
@@ -246,7 +260,8 @@ fn parse_jsonl_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseE
         }
         let rest = expect_key(rest, "s", line)?;
         let (s_field, rest) = next_field(rest, line)?;
-        let source = unquote(s_field, line)?.to_string();
+        let source =
+            checked(unquote(s_field, line)?, is_plain_text, "event source", line)?.to_string();
         let rest = expect_key(rest, "v", line)?;
         let (v_field, rest) = next_field(rest, line)?;
         let value: f64 = v_field
@@ -275,15 +290,21 @@ fn parse_csv_line(line_text: &str, line: usize) -> Result<ParsedRecord, ParseErr
     let time_ms: u64 = take("time_ms")?
         .parse()
         .map_err(|_| err(line, "bad time_ms"))?;
-    let record = take("record")?.to_string();
+    let record = take("record")?;
     let name = take("name")?.to_string();
-    let source = take("source")?.to_string();
+    let source = checked(take("source")?, is_plain_text, "event source", line)?.to_string();
     let value: f64 = take("value")?.parse().map_err(|_| err(line, "bad value"))?;
     if fields.next().is_some() {
         return Err(err(line, "too many fields"));
     }
-    let is_event = match record.as_str() {
-        "sample" => false,
+    let is_event = match record {
+        "sample" => {
+            checked(&name, is_name, "metric name", line)?;
+            if !source.is_empty() {
+                return Err(err(line, "sample with a source"));
+            }
+            false
+        }
         "event" => {
             if EventKind::from_name(&name).is_none() {
                 return Err(err(line, format!("unknown event kind {name:?}")));
@@ -519,6 +540,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("unknown event kind"));
+    }
+
+    #[test]
+    fn strings_outside_the_wire_charset_are_per_line_errors() {
+        for (line, format) in [
+            (
+                "{\"t\":1,\"m\":\"rack-00.dr\"aw_w\",\"v\":2}",
+                Format::Jsonl,
+            ),
+            ("{\"t\":1,\"m\":\"a\\\\b\",\"v\":2}", Format::Jsonl),
+            (
+                "{\"t\":1,\"e\":\"shed\",\"s\":\"rack\t00\",\"v\":1}",
+                Format::Jsonl,
+            ),
+            ("1,sample,rack-00.dr\"aw_w,,2", Format::Csv),
+            ("1,sample,rack-00.draw_w,src,2", Format::Csv),
+            ("1,event,shed,rack \"0\",1", Format::Csv),
+        ] {
+            assert!(parse_line(line, 7, format).is_err(), "{line:?} accepted");
+        }
+        let lossy = parse_lossy("{\"t\":1,\"m\":\"a\"b\",\"v\":2}\n", Format::Jsonl);
+        assert_eq!((lossy.records.len(), lossy.errors[0].line), (0, 1));
+        let ok = parse_line(
+            "{\"t\":1,\"e\":\"shed\",\"s\":\"cluster feed\",\"v\":1}",
+            1,
+            Format::Jsonl,
+        );
+        assert_eq!(ok.unwrap().source, "cluster feed");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::jsonio::{write_f64, Json, ObjFields};
+use crate::jsonio::{is_name, Json, JsonWriter, ObjFields};
 use crate::stats::{Histogram, OnlineStats};
 
 /// Interned handle for one registered metric.
@@ -114,10 +114,7 @@ impl MetricRegistry {
 
     fn register(&mut self, name: &str, kind: MetricKind, histogram: Option<Histogram>) -> MetricId {
         assert!(
-            !name.is_empty()
-                && name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-')),
+            is_name(name),
             "metric name {name:?} must be non-empty [A-Za-z0-9._-]"
         );
         if let Some(&id) = self.by_name.get(name) {
@@ -289,45 +286,30 @@ impl MetricRegistry {
     /// structural — rebuilt by re-running the same registration code —
     /// so the snapshot restates names and kinds only to validate that
     /// structure on restore.
-    pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"metrics\":[");
-        for (i, id) in self.ids().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object().key("metrics").begin_array();
+        for id in self.ids() {
             let inst = &self.instruments[id.index()];
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\"",
-                self.name(id),
-                inst.kind.as_str()
-            );
-            match inst.kind {
-                MetricKind::Counter => {
-                    let _ = write!(out, ",\"counter\":{}", inst.counter);
-                }
-                MetricKind::Gauge => {
-                    out.push_str(",\"gauge\":");
-                    write_f64(&mut out, inst.gauge);
-                    out.push_str(",\"stats\":");
-                    out.push_str(&inst.stats.snapshot_json());
-                }
-                MetricKind::Histogram => {
-                    out.push_str(",\"hist\":");
-                    out.push_str(&inst.histogram.as_ref().expect("histogram").snapshot_json());
-                    out.push_str(",\"stats\":");
-                    out.push_str(&inst.stats.snapshot_json());
-                }
+            w.begin_object()
+                .field("name", self.name(id))
+                .field("kind", inst.kind.as_str());
+            if let Some(h) = &inst.histogram {
+                h.write_snapshot(w.key("hist"));
+            } else if inst.kind == MetricKind::Gauge {
+                w.field("gauge", inst.gauge);
+            } else {
+                w.field("counter", inst.counter);
             }
-            out.push('}');
+            if inst.kind != MetricKind::Counter {
+                inst.stats.write_snapshot(w.key("stats"));
+            }
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 
     /// Overwrites every instrument's value state from a parsed
-    /// [`snapshot_json`](Self::snapshot_json) document. The snapshot
+    /// [`write_snapshot`](Self::write_snapshot) document. The snapshot
     /// must cover exactly this registry's metric set, in registration
     /// order, with matching kinds (and histogram shapes) — any drift is
     /// an error and the registry is left partially restored only on the
@@ -596,18 +578,27 @@ mod tests {
         live.set_gauge(g, 3.0);
         live.observe(h, 7.5);
         live.observe(h, 250.0);
-        let doc = crate::jsonio::JsonParser::parse_document(&live.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            live.write_snapshot(w)
+        }))
+        .unwrap();
         let (mut fresh, ..) = build();
         fresh.restore_snapshot(&doc).unwrap();
         assert_eq!(fresh, live);
-        assert_eq!(fresh.snapshot_json(), live.snapshot_json());
+        assert_eq!(
+            crate::jsonio::render(|w| fresh.write_snapshot(w)),
+            crate::jsonio::render(|w| live.write_snapshot(w))
+        );
     }
 
     #[test]
     fn snapshot_restore_rejects_structural_drift() {
         let mut a = MetricRegistry::new();
         a.register_counter("x");
-        let doc = crate::jsonio::JsonParser::parse_document(&a.snapshot_json()).unwrap();
+        let doc = crate::jsonio::JsonParser::parse_document(&crate::jsonio::render(|w| {
+            a.write_snapshot(w)
+        }))
+        .unwrap();
         let mut renamed = MetricRegistry::new();
         renamed.register_counter("y");
         assert!(renamed.restore_snapshot(&doc).is_err());

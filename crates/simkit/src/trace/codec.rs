@@ -2,7 +2,7 @@
 //! `padsim incident` uses to read them back.
 //!
 //! The formats follow the telemetry codec's rules: restricted-charset
-//! names and attribute keys (`[A-Za-z0-9._-]`), values via Rust's default
+//! names and attribute keys (`[A-Za-z0-9._-]`, checked per line), values via Rust's default
 //! `f64` `Display` (shortest round-trip form), one record per line, and
 //! a parser that fails the whole parse on the first malformed line.
 //!
@@ -26,7 +26,8 @@
 
 use std::fmt::Write as _;
 
-use crate::telemetry::codec::{err, expect_key, next_field, unquote, Format, ParseError};
+use crate::jsonio::is_name;
+use crate::telemetry::codec::{checked, err, expect_key, next_field, unquote, Format, ParseError};
 use crate::trace::span::{Span, SpanNames};
 
 /// CSV header line for span traces (with trailing newline).
@@ -132,7 +133,10 @@ fn parse_attr_pair(pair: &str, sep: char, line: usize) -> Result<(String, f64), 
     let value: f64 = value
         .parse()
         .map_err(|_| err(line, format!("bad attribute value {value:?}")))?;
-    Ok((key.to_string(), value))
+    Ok((
+        checked(key, is_name, "attribute key", line)?.to_string(),
+        value,
+    ))
 }
 
 fn parse_span_jsonl_line(line_text: &str, line: usize) -> Result<ParsedSpan, ParseError> {
@@ -146,7 +150,7 @@ fn parse_span_jsonl_line(line_text: &str, line: usize) -> Result<ParsedSpan, Par
         .map_err(|_| err(line, format!("bad id {id_field:?}")))?;
     let rest = expect_key(rest, "name", line)?;
     let (name_field, rest) = next_field(rest, line)?;
-    let name = unquote(name_field, line)?.to_string();
+    let name = checked(unquote(name_field, line)?, is_name, "span name", line)?.to_string();
     let rest = expect_key(rest, "parent", line)?;
     let (parent_field, rest) = next_field(rest, line)?;
     let parent = parse_parent(parent_field, line)?;
@@ -177,7 +181,8 @@ fn parse_span_jsonl_line(line_text: &str, line: usize) -> Result<ParsedSpan, Par
             let (quoted_key, value) = pair
                 .split_once(':')
                 .ok_or_else(|| err(line, format!("bad attribute {pair:?}")))?;
-            let key = unquote(quoted_key, line)?.to_string();
+            let key =
+                checked(unquote(quoted_key, line)?, is_name, "attribute key", line)?.to_string();
             let value: f64 = value
                 .parse()
                 .map_err(|_| err(line, format!("bad attribute value {value:?}")))?;
@@ -208,7 +213,7 @@ fn parse_span_csv_line(line_text: &str, line: usize) -> Result<ParsedSpan, Parse
             .ok_or_else(|| err(line, format!("missing {label} field")))
     };
     let id: u64 = take("id")?.parse().map_err(|_| err(line, "bad id"))?;
-    let name = take("name")?.to_string();
+    let name = checked(take("name")?, is_name, "span name", line)?.to_string();
     let parent = parse_parent(take("parent")?, line)?;
     let start_ms: u64 = take("start_ms")?
         .parse()
@@ -445,6 +450,16 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("bad attribute value"));
+
+        for (line, format) in [
+            ("{\"id\":0,\"name\":\"attack.dr\"ain\",\"parent\":null,\"t0\":0,\"t1\":1,\"attrs\":{}}", Format::Jsonl),
+            ("{\"id\":0,\"name\":\"a\",\"parent\":null,\"t0\":0,\"t1\":1,\"attrs\":{\"k\\\\\":1}}", Format::Jsonl),
+            ("0,attack dr,,0,1,", Format::Csv),
+            ("0,a,,0,1,k\"=1", Format::Csv),
+        ] {
+            let e = parse_span_line(line, 3, format).unwrap_err();
+            assert!(e.message.contains("outside the wire charset"), "{line:?}: {e}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::jsonio::{render, JsonWriter};
 use crate::telemetry::codec::ParsedRecord;
 use crate::time::SimTime;
 use crate::trace::codec::ParsedSpan;
@@ -283,49 +284,34 @@ impl<'a> IncidentReconstructor<'a> {
     }
 }
 
-fn json_opt(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 impl Incident {
-    /// Renders this incident as one JSON object.
-    pub fn to_json(&self) -> String {
-        let ids: Vec<String> = self.span_ids.iter().map(u64::to_string).collect();
-        let racks: Vec<String> = self.blast_racks.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"root_id\":{},\"root_name\":\"{}\",\"start_ms\":{},\"end_ms\":{},\
-             \"span_ids\":[{}],\"blast_racks\":[{}],\"detector_firings\":{},\
-             \"time_to_detect_ms\":{},\"detect_lag_vs_truth_ms\":{},\
-             \"time_to_escalate_ms\":{},\"shed_energy_j\":{}}}",
-            self.root_id,
-            self.root_name,
-            self.start_ms,
-            self.end_ms,
-            ids.join(","),
-            racks.join(","),
-            self.detector_firings,
-            json_opt(self.time_to_detect_ms),
-            json_opt(self.detect_lag_vs_truth_ms),
-            json_opt(self.time_to_escalate_ms),
-            self.shed_energy_j,
-        )
+    /// Writes this incident as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("root_id", self.root_id)
+            .field("root_name", &self.root_name)
+            .field("start_ms", self.start_ms)
+            .field("end_ms", self.end_ms)
+            .field_array("span_ids", &self.span_ids)
+            .field_array("blast_racks", &self.blast_racks)
+            .field("detector_firings", self.detector_firings)
+            .field("time_to_detect_ms", self.time_to_detect_ms)
+            .field("detect_lag_vs_truth_ms", self.detect_lag_vs_truth_ms)
+            .field("time_to_escalate_ms", self.time_to_escalate_ms)
+            .field("shed_energy_j", self.shed_energy_j)
+            .end_object();
     }
 }
 
-/// Renders a full incident report as JSON: `{"incidents":[...]}`.
+/// Renders a full incident report as JSON: `{"incidents":[...]}`, one
+/// incident per line, newline-terminated.
 pub fn render_report_json(incidents: &[Incident]) -> String {
-    let mut out = String::from("{\"incidents\":[");
-    for (i, incident) in incidents.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&incident.to_json());
-    }
-    if !incidents.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    let mut out = render(|w| {
+        w.begin_object()
+            .field_lines("incidents", incidents, |w, i| i.write_json(w))
+            .end_object();
+    });
+    out.push('\n');
     out
 }
 
@@ -498,6 +484,29 @@ mod tests {
         assert!(json.contains("\"time_to_detect_ms\":null"));
         assert!(json.trim_end().ends_with("]}"));
         assert_eq!(render_report_json(&[]), "{\"incidents\":[]}\n");
+    }
+
+    #[test]
+    fn non_finite_shed_energy_renders_valid_json() {
+        use crate::jsonio::{JsonParser, ObjFields};
+        let text = "\
+{\"id\":0,\"name\":\"attack.drain\",\"parent\":null,\"t0\":0,\"t1\":1000,\"attrs\":{\"rack\":1}}\n\
+{\"id\":1,\"name\":\"batt.discharge\",\"parent\":0,\"t0\":0,\"t1\":900,\"attrs\":{\"rack\":1,\"energy_j\":inf}}\n";
+        let spans = parse_spans(text, Format::Jsonl).unwrap();
+        let incidents = IncidentReconstructor::new(&spans).reconstruct();
+        assert_eq!(incidents[0].shed_energy_j, f64::INFINITY);
+        let json = render_report_json(&incidents);
+        assert!(json.contains("\"shed_energy_j\":\"inf\""), "{json}");
+        let doc = JsonParser::parse_document(&json).unwrap();
+        let report = doc.as_object("report").unwrap();
+        let first = report.arr_field("incidents").unwrap()[0]
+            .as_object("incident")
+            .unwrap();
+        assert_eq!(
+            first.f64_field_lossy("shed_energy_j").unwrap(),
+            f64::INFINITY
+        );
+        assert_eq!(first.opt_u64_field("time_to_detect_ms").unwrap(), None);
     }
 
     #[test]

@@ -120,13 +120,7 @@ impl Tracer {
     /// Panics if `key` is empty or contains characters outside
     /// `[A-Za-z0-9._-]`.
     pub fn set_attr(&mut self, id: SpanId, key: &str, value: f64) {
-        assert!(
-            !key.is_empty()
-                && key
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-'),
-            "invalid attribute key {key:?}"
-        );
+        assert!(crate::jsonio::is_name(key), "invalid attribute key {key:?}");
         if let Some(span) = self.open.iter_mut().find(|s| s.id == id) {
             match span.attrs.iter_mut().find(|(k, _)| k == key) {
                 Some((_, v)) => *v = value,

@@ -40,13 +40,6 @@ impl SpanNameId {
     }
 }
 
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-}
-
 /// Interns span names to dense [`SpanNameId`]s.
 ///
 /// Names are restricted to `[A-Za-z0-9._-]` (like metric names), so the
@@ -70,7 +63,7 @@ impl SpanNames {
     /// Panics if `name` is empty, contains characters outside
     /// `[A-Za-z0-9._-]`, or the table is full (`u16::MAX` names).
     pub fn intern(&mut self, name: &str) -> SpanNameId {
-        assert!(valid_name(name), "invalid span name {name:?}");
+        assert!(crate::jsonio::is_name(name), "invalid span name {name:?}");
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
