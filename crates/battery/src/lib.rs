@@ -16,8 +16,8 @@
 //! * [`lvd`] — the low-voltage disconnect that isolates deeply discharged
 //!   batteries (Facebook-style, 1.75 V/cell), which is precisely what the
 //!   Phase-I attacker exploits;
-//! * [`pack`] — sizing helpers ("fully charged battery can sustain 50
-//!   seconds under full load") and parallel composition;
+//! * [`pack`] — the rack battery cabinet and its sizing helpers ("fully
+//!   charged battery can sustain 50 seconds under full load");
 //! * [`units`] — `Watts`/`Joules`/`WattHours`/… newtypes shared by the
 //!   whole workspace (re-exported by `powerinfra`).
 //!
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::lead_acid::LeadAcidBattery;
     pub use crate::lvd::LowVoltageDisconnect;
     pub use crate::model::EnergyStorage;
-    pub use crate::pack::{BatteryCabinet, ParallelBank};
+    pub use crate::pack::BatteryCabinet;
     pub use crate::supercap::SuperCapacitor;
     pub use crate::units::{Joules, WattHours, Watts};
 }
@@ -69,6 +69,6 @@ pub use kibam::{KibamBattery, KibamParams};
 pub use lead_acid::LeadAcidBattery;
 pub use lvd::LowVoltageDisconnect;
 pub use model::EnergyStorage;
-pub use pack::{BatteryCabinet, ParallelBank};
+pub use pack::BatteryCabinet;
 pub use supercap::SuperCapacitor;
 pub use units::{Joules, WattHours, Watts};

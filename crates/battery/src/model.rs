@@ -84,29 +84,6 @@ pub trait EnergyStorage {
     }
 }
 
-/// A point-in-time snapshot of a storage device, used in logs and the
-/// Figure 13/14 heatmaps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageSnapshot {
-    /// State of charge in `[0, 1]`.
-    pub soc: f64,
-    /// Stored energy.
-    pub stored: Joules,
-    /// Capacity.
-    pub capacity: Joules,
-}
-
-impl StorageSnapshot {
-    /// Captures a snapshot of any storage device.
-    pub fn of<S: EnergyStorage + ?Sized>(device: &S) -> Self {
-        StorageSnapshot {
-            soc: device.soc(),
-            stored: device.stored(),
-            capacity: device.capacity(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,17 +154,5 @@ mod tests {
         assert_eq!(b.autonomy_at(Watts(100.0)), SimDuration::from_secs(10));
         // Zero power => effectively infinite autonomy.
         assert!(b.autonomy_at(Watts(0.0)) >= SimDuration::from_hours(1000));
-    }
-
-    #[test]
-    fn snapshot_captures_state() {
-        let b = Bucket {
-            stored: Joules(25.0),
-            cap: Joules(100.0),
-        };
-        let snap = StorageSnapshot::of(&b);
-        assert_eq!(snap.soc, 0.25);
-        assert_eq!(snap.stored, Joules(25.0));
-        assert_eq!(snap.capacity, Joules(100.0));
     }
 }

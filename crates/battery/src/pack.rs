@@ -184,177 +184,9 @@ impl EnergyStorage for BatteryCabinet {
     }
 }
 
-/// A bank of identical storage units discharged and charged in parallel,
-/// sharing every request evenly — how battery cabinets aggregate strings
-/// of series cells into a rack-scale unit.
-///
-/// # Example
-///
-/// ```
-/// use battery::pack::ParallelBank;
-/// use battery::lead_acid::LeadAcidBattery;
-/// use battery::model::EnergyStorage;
-/// use battery::units::{Joules, Watts};
-/// use simkit::time::SimDuration;
-///
-/// let bank = ParallelBank::new((0..4).map(|_| LeadAcidBattery::new(Joules(10_000.0))));
-/// assert_eq!(bank.capacity(), Joules(40_000.0));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelBank<S> {
-    units: Vec<S>,
-}
-
-impl<S: EnergyStorage> ParallelBank<S> {
-    /// Creates a bank from identical units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator yields no units.
-    pub fn new(units: impl IntoIterator<Item = S>) -> Self {
-        let units: Vec<S> = units.into_iter().collect();
-        assert!(!units.is_empty(), "a bank needs at least one unit");
-        ParallelBank { units }
-    }
-
-    /// Number of parallel units.
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    /// `true` if the bank has exactly zero units (never: construction
-    /// forbids it), kept for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty()
-    }
-
-    /// The individual units.
-    pub fn units(&self) -> &[S] {
-        &self.units
-    }
-}
-
-impl<S: EnergyStorage> EnergyStorage for ParallelBank<S> {
-    fn capacity(&self) -> Joules {
-        self.units.iter().map(EnergyStorage::capacity).sum()
-    }
-
-    fn stored(&self) -> Joules {
-        self.units.iter().map(EnergyStorage::stored).sum()
-    }
-
-    fn max_discharge_power(&self) -> Watts {
-        self.units
-            .iter()
-            .map(EnergyStorage::max_discharge_power)
-            .sum()
-    }
-
-    fn max_charge_power(&self) -> Watts {
-        self.units.iter().map(EnergyStorage::max_charge_power).sum()
-    }
-
-    fn discharge(&mut self, power: Watts, dt: SimDuration) -> Watts {
-        // Allocate the request across units in proportion to what each
-        // can deliver right now, with exactly one step per unit (two
-        // sequential steps in the same dt would advance the KiBaM well
-        // dynamics twice). Saggy units naturally receive smaller shares.
-        let caps: Vec<Watts> = self
-            .units
-            .iter()
-            .map(EnergyStorage::max_discharge_power)
-            .collect();
-        let total_cap: Watts = caps.iter().copied().sum();
-        if total_cap.0 <= 0.0 {
-            return Watts::ZERO;
-        }
-        let want = power.min(total_cap);
-        let mut delivered = Watts::ZERO;
-        for (unit, cap) in self.units.iter_mut().zip(caps) {
-            let share = want * (cap / total_cap);
-            delivered += unit.discharge(share, dt);
-        }
-        delivered.min(power)
-    }
-
-    fn charge(&mut self, power: Watts, dt: SimDuration) -> Watts {
-        let caps: Vec<Watts> = self
-            .units
-            .iter()
-            .map(EnergyStorage::max_charge_power)
-            .collect();
-        let total_cap: Watts = caps.iter().copied().sum();
-        if total_cap.0 <= 0.0 {
-            return Watts::ZERO;
-        }
-        let want = power.min(total_cap);
-        let mut accepted = Watts::ZERO;
-        for (unit, cap) in self.units.iter_mut().zip(caps) {
-            let share = want * (cap / total_cap);
-            accepted += unit.charge(share, dt);
-        }
-        accepted.min(power)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_bank_aggregates_capacity_and_power() {
-        let bank = ParallelBank::new((0..4).map(|_| LeadAcidBattery::new(Joules(10_000.0))));
-        assert_eq!(bank.len(), 4);
-        assert_eq!(bank.capacity(), Joules(40_000.0));
-        assert!(bank.max_discharge_power().0 > 0.0);
-    }
-
-    #[test]
-    fn parallel_bank_shares_discharge() {
-        let mut bank = ParallelBank::new((0..2).map(|_| LeadAcidBattery::new(Joules(36_000.0))));
-        let got = bank.discharge(Watts(100.0), SimDuration::from_secs(10));
-        assert_eq!(got, Watts(100.0));
-        // Both units contributed equally.
-        let stored: Vec<f64> = bank.units().iter().map(|u| u.stored().0).collect();
-        assert!((stored[0] - stored[1]).abs() < 1e-6);
-        assert!((bank.stored().0 - (72_000.0 - 1_000.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_bank_covers_a_saggy_unit() {
-        // One unit nearly empty: the healthy unit carries the remainder.
-        let mut units: Vec<LeadAcidBattery> = (0..2)
-            .map(|_| LeadAcidBattery::new(Joules(36_000.0)))
-            .collect();
-        units[0].set_soc(0.01);
-        let mut bank = ParallelBank::new(units);
-        let got = bank.discharge(Watts(60.0), SimDuration::SECOND);
-        assert!(
-            got.0 > 55.0,
-            "healthy unit should cover the saggy one, got {got}"
-        );
-    }
-
-    #[test]
-    fn parallel_bank_charge_respects_full_units() {
-        let mut units: Vec<LeadAcidBattery> = (0..2)
-            .map(|_| LeadAcidBattery::new(Joules(36_000.0)))
-            .collect();
-        units[0].set_soc(1.0);
-        units[1].set_soc(0.2);
-        let mut bank = ParallelBank::new(units);
-        let took = bank.charge(Watts(40.0), SimDuration::from_secs(10));
-        assert!(took.0 > 0.0);
-        // The full unit stays full; only the empty one gained.
-        assert!((bank.units()[0].soc() - 1.0).abs() < 1e-6);
-        assert!(bank.units()[1].soc() > 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one unit")]
-    fn empty_bank_rejected() {
-        let _ = ParallelBank::<LeadAcidBattery>::new(std::iter::empty());
-    }
 
     #[test]
     fn facebook_v1_sustains_50s() {

@@ -335,10 +335,10 @@ fn parse_args() -> Args {
                     other => fail(&format!("unknown class {other:?}")),
                 }
             }
-            "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
+            "--nodes" => args.nodes = parse_count(&value("--nodes"), "--nodes"),
             "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
-            "--racks" => args.racks = parse_num(&value("--racks"), "--racks"),
-            "--servers" => args.servers = parse_num(&value("--servers"), "--servers"),
+            "--racks" => args.racks = parse_count(&value("--racks"), "--racks"),
+            "--servers" => args.servers = parse_count(&value("--servers"), "--servers"),
             "--mean-util" => args.mean_util = parse_f64(&value("--mean-util"), "--mean-util"),
             "--budget" => args.budget = parse_f64(&value("--budget"), "--budget"),
             "--action" => {
@@ -702,7 +702,7 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
                         .unwrap_or_else(|| fail(&format!("unknown format {name:?}"))),
                 );
             }
-            "--racks" => racks_override = Some(parse_num(&value("--racks"), "--racks").max(1)),
+            "--racks" => racks_override = Some(parse_count(&value("--racks"), "--racks")),
             "--style" => {
                 style = match value("--style").to_lowercase().as_str() {
                     "dense" => AttackStyle::Dense,
@@ -718,7 +718,7 @@ fn run_detect(mut it: impl Iterator<Item = String>) -> ! {
                     other => fail(&format!("unknown class {other:?}")),
                 }
             }
-            "--nodes" => nodes = parse_num(&value("--nodes"), "--nodes").max(1),
+            "--nodes" => nodes = parse_count(&value("--nodes"), "--nodes"),
             "--duration-mins" => {
                 duration_mins = parse_num(&value("--duration-mins"), "--duration-mins") as u64
             }
@@ -944,7 +944,7 @@ fn run_fault(mut it: impl Iterator<Item = String>) -> ! {
                     other => fail(&format!("unknown class {other:?}")),
                 }
             }
-            "--nodes" => args.nodes = parse_num(&value("--nodes"), "--nodes"),
+            "--nodes" => args.nodes = parse_count(&value("--nodes"), "--nodes"),
             "--victims" => args.victims = parse_num(&value("--victims"), "--victims"),
             "--seed" => args.seed = parse_num(&value("--seed"), "--seed") as u64,
             "--attack-at-mins" => {
@@ -1547,8 +1547,8 @@ fn run_perf(mut it: impl Iterator<Item = String>) -> ! {
         };
         match flag.as_str() {
             "--jobs" => jobs = parse_num(&value("--jobs"), "--jobs").max(1),
-            "--racks" => racks = parse_num(&value("--racks"), "--racks"),
-            "--servers" => servers = parse_num(&value("--servers"), "--servers"),
+            "--racks" => racks = parse_count(&value("--racks"), "--racks"),
+            "--servers" => servers = parse_count(&value("--servers"), "--servers"),
             "--ticks" => ticks = parse_num(&value("--ticks"), "--ticks") as u64,
             "--seed" => seed = parse_num(&value("--seed"), "--seed") as u64,
             "--out" => out = Some(PathBuf::from(value("--out"))),
@@ -1822,6 +1822,15 @@ fn write_trace(dir: &Path, scheme: Scheme, format: Format, dump: &TraceDump) {
 fn parse_num(text: &str, flag: &str) -> usize {
     text.parse()
         .unwrap_or_else(|_| fail(&format!("{flag} expects an integer, got {text:?}")))
+}
+
+/// [`parse_num`] for a count of racks, servers or nodes: zero is a
+/// usage error, not a cluster or attack to build.
+fn parse_count(text: &str, flag: &str) -> usize {
+    match parse_num(text, flag) {
+        0 => fail(&format!("{flag} must be at least 1, got 0")),
+        n => n,
+    }
 }
 
 fn parse_f64(text: &str, flag: &str) -> f64 {

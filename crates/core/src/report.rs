@@ -5,7 +5,6 @@
 //! paper-vs-measured comparison stays uniform across experiments.
 
 use simkit::series::TimeSeries;
-use simkit::time::SimDuration;
 
 /// Renders a `(x, y)` series as `x<tab>y` lines with a header — the
 /// gnuplot-friendly format all figure regenerators emit.
@@ -57,20 +56,10 @@ pub fn render_multi_series(
     out
 }
 
-/// Formats a duration in whole seconds for the survival tables.
-pub fn fmt_secs(d: SimDuration) -> String {
-    format!("{:.0}", d.as_secs_f64())
-}
-
-/// Formats an improvement factor like `"10.7x"`.
-pub fn fmt_factor(factor: f64) -> String {
-    format!("{factor:.1}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::time::SimTime;
+    use simkit::time::{SimDuration, SimTime};
 
     #[test]
     fn xy_series_renders_rows() {
@@ -104,11 +93,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn multi_series_rejects_ragged() {
         render_multi_series("x", "x", &[1.0], &[("a", vec![])]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_secs(SimDuration::from_secs(123)), "123");
-        assert_eq!(fmt_factor(10.66), "10.7x");
     }
 }

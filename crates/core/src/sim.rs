@@ -664,11 +664,6 @@ impl ClusterSim {
         self.detectors.as_ref()
     }
 
-    /// Takes the detector stack out; detection is disabled afterwards.
-    pub fn take_detection(&mut self) -> Option<SimDetectors> {
-        self.detectors.take()
-    }
-
     /// Enables causal span tracing into a ring buffer of `ring_capacity`
     /// spans (oldest spans are evicted once full; the eviction count is
     /// carried into the final dump).
@@ -729,20 +724,6 @@ impl ClusterSim {
         self.faults.as_ref()
     }
 
-    /// Takes the fault injector out, restoring every derated breaker
-    /// and faded cabinet to its nominal factor. Fault injection is
-    /// disabled afterwards.
-    pub fn take_faults(&mut self) -> Option<SimFaults> {
-        let faults = self.faults.take();
-        if faults.is_some() {
-            for rack in &mut self.racks {
-                rack.breaker_mut().set_derate(1.0);
-                rack.cabinet_mut().set_capacity_factor(1.0);
-            }
-        }
-        faults
-    }
-
     /// The PAD policy level (meaningful for the PAD scheme).
     pub fn level(&self) -> SecurityLevel {
         self.policy.level()
@@ -769,11 +750,6 @@ impl ClusterSim {
     /// The coordinator's current-round grant entitlements per rack.
     pub fn grants_current(&self) -> &[Watts] {
         &self.grants_current
-    }
-
-    /// Each rack's held view of the coordination protocol.
-    pub fn held_protocol(&self) -> &[RackHeld] {
-        &self.held
     }
 
     /// The racks (read-only inspection).
@@ -1844,23 +1820,6 @@ impl ClusterSim {
         self.attacks
             .first()
             .and_then(|a| a.controller.observed_drain())
-    }
-
-    /// Observed drain durations for every installed attack, in
-    /// installation order.
-    pub fn attacker_observed_drains(&self) -> Vec<Option<SimDuration>> {
-        self.attacks
-            .iter()
-            .map(|a| a.controller.observed_drain())
-            .collect()
-    }
-
-    /// Why the (first) attack left Phase I: a genuine side-channel
-    /// observation, or an uninformative timeout.
-    pub fn attacker_transition_cause(&self) -> Option<attack::phases::TransitionCause> {
-        self.attacks
-            .first()
-            .and_then(|a| a.controller.transition_cause())
     }
 }
 

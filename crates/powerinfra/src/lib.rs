@@ -29,10 +29,8 @@
 
 pub mod breaker;
 pub mod capping;
-pub mod deployment;
 pub mod metering;
 pub mod pdu;
-pub mod psu;
 pub mod rack;
 pub mod server;
 pub mod topology;
@@ -46,10 +44,8 @@ pub mod units {
 pub mod prelude {
     pub use crate::breaker::{BreakerState, CircuitBreaker};
     pub use crate::capping::PowerCapper;
-    pub use crate::deployment::DeploymentOption;
     pub use crate::metering::PowerMeter;
     pub use crate::pdu::{Pdu, PduConfig};
-    pub use crate::psu::Psu;
     pub use crate::rack::Rack;
     pub use crate::server::{Server, ServerSpec};
     pub use crate::topology::{ClusterTopology, RackId, ServerId};
@@ -58,10 +54,8 @@ pub mod prelude {
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use capping::PowerCapper;
-pub use deployment::DeploymentOption;
 pub use metering::PowerMeter;
 pub use pdu::{Pdu, PduConfig};
-pub use psu::Psu;
 pub use rack::Rack;
 pub use server::{Server, ServerSpec};
 pub use topology::{ClusterTopology, RackId, ServerId};

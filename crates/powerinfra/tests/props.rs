@@ -1,10 +1,9 @@
 //! Property tests on the electrical substrate: breaker monotonicity,
-//! meter conservation, PSU curve sanity, capping clamps.
+//! meter conservation, capping clamps.
 
 use battery::units::Watts;
 use powerinfra::breaker::CircuitBreaker;
 use powerinfra::capping::PowerCapper;
-use powerinfra::psu::Psu;
 use powerinfra::server::{Server, ServerSpec};
 use proptest::prelude::*;
 use simkit::time::{SimDuration, SimTime};
@@ -60,24 +59,6 @@ proptest! {
         prop_assert!(p.0 >= 299.0 - 1e-9 && p.0 <= 521.0 + 1e-9, "power {p}");
         let w = s.delivered_work();
         prop_assert!((0.0..=1.0).contains(&w));
-    }
-
-    /// PSU wall power is monotone in DC load and efficiency stays in a
-    /// physical band.
-    #[test]
-    fn psu_sanity(rating in 200.0f64..2_000.0, loads in prop::collection::vec(0.0f64..1.0, 2..40)) {
-        let psu = Psu::eighty_plus_gold(Watts(rating));
-        let mut sorted = loads.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut last_wall = -1.0;
-        for f in sorted {
-            let dc = Watts(rating * f);
-            let eff = psu.efficiency_at(dc);
-            prop_assert!((0.3..=1.0).contains(&eff), "efficiency {eff}");
-            let wall = psu.wall_power(dc).0;
-            prop_assert!(wall >= last_wall - 1e-9, "wall power not monotone");
-            last_wall = wall;
-        }
     }
 
     /// The capper's effective factor is always within [0.1, 1] and never

@@ -341,18 +341,6 @@ impl SpikeTrainDetector {
         }
     }
 
-    /// Sets the internal baseline's smoothing factor (default 0.05).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha <= 1`.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.baseline = EwmaZScore::new(alpha, self.spike_sigma)
-            .with_warmup(20)
-            .with_min_std(self.baseline.min_std);
-        self
-    }
-
     /// Floors the baseline standard deviation (metric units).
     ///
     /// # Panics

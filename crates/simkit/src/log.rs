@@ -92,9 +92,10 @@ impl fmt::Display for LogEvent {
 /// know the log is partial, and [`events`](EventLog::events) merges the
 /// lanes back into recording order via per-event sequence numbers.
 ///
-/// Events below a minimum severity ([`with_min_severity`]
-/// (EventLog::with_min_severity)) are dropped at push time — counted in
-/// [`filtered`](EventLog::filtered), never buffered.
+/// Events below a minimum severity (see
+/// [`with_min_severity`](EventLog::with_min_severity)) are dropped at
+/// push time — counted in [`filtered`](EventLog::filtered), never
+/// buffered.
 ///
 /// # Example
 ///

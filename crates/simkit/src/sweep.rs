@@ -178,45 +178,9 @@ impl SweepRunner {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        let n = items.len();
-        if self.jobs == 1 || n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(index, item)| job(index, item))
-                .collect();
-        }
-        // Shared pull queue: workers claim the next scenario as they free
-        // up (dynamic load balancing — scenario runtimes vary wildly), and
-        // deposit results into the submission-indexed slot table.
-        let queue = Mutex::new(items.into_iter().enumerate());
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs.min(n) {
-                scope.spawn(|| loop {
-                    let next = queue
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .next();
-                    match next {
-                        Some((index, item)) => {
-                            let result = job(index, item);
-                            *slots[index]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                        }
-                        None => break,
-                    }
-                });
-            }
-        });
-        slots
+        self.run_metered(items, |index, item| (job(index, item), 0))
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("scoped workers completed every claimed scenario")
-            })
+            .map(|metered| metered.value)
             .collect()
     }
 

@@ -111,12 +111,6 @@ pub fn fmt_f64(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
-/// Formats a ratio as a percentage with one decimal place, e.g. `0.433` →
-/// `"43.3%"`.
-pub fn fmt_percent(ratio: f64) -> String {
-    format!("{:.1}%", ratio * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,8 +154,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_f64(1.23456, 2), "1.23");
-        assert_eq!(fmt_percent(0.433), "43.3%");
-        assert_eq!(fmt_percent(1.0), "100.0%");
     }
 
     #[test]

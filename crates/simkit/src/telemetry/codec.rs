@@ -348,48 +348,6 @@ pub fn is_csv_header(line_text: &str) -> bool {
     line_text == CSV_HEADER.trim_end()
 }
 
-/// The survivors and casualties of a lossy parse (see [`parse_lossy`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LossyParse {
-    /// Records from every well-formed line, in input order.
-    pub records: Vec<ParsedRecord>,
-    /// One structured error per malformed line, in input order.
-    pub errors: Vec<ParseError>,
-}
-
-/// Parses a serialized trace, collecting malformed lines as structured
-/// per-line errors instead of failing the whole parse.
-///
-/// Wire-facing counterpart of the strict [`parse`]: a truncated,
-/// corrupted, or interleaved partial line costs exactly that line (and
-/// an [`LossyParse::errors`] entry), never the rest of the stream. The
-/// CSV header is required as the first line, matching [`parse`], but a
-/// *repeated* header later in the stream is tolerated and skipped — the
-/// natural shape of several serialized chunks glued together.
-pub fn parse_lossy(text: &str, format: Format) -> LossyParse {
-    let mut out = LossyParse::default();
-    let mut lines = text.lines().enumerate();
-    if format == Format::Csv {
-        match lines.next() {
-            Some((_, header)) if is_csv_header(header) => {}
-            Some((_, header)) => out
-                .errors
-                .push(err(1, format!("bad CSV header {header:?}"))),
-            None => return out,
-        }
-    }
-    for (idx, line_text) in lines {
-        if line_text.is_empty() || (format == Format::Csv && is_csv_header(line_text)) {
-            continue;
-        }
-        match parse_line(line_text, idx + 1, format) {
-            Ok(record) => out.records.push(record),
-            Err(e) => out.errors.push(e),
-        }
-    }
-    out
-}
-
 /// Re-serializes parsed records back to the wire format they came from.
 ///
 /// The exact inverse of [`parse`] for any well-formed trace: names and
@@ -540,6 +498,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("unknown event kind"));
+
+        // Each malformed shape a live socket can produce costs exactly
+        // its own line: a structured error that names the line.
+        for (label, line, format, needle) in [
+            // The sender died mid-write.
+            (
+                "truncated",
+                "{\"t\":3,\"m\":\"a.x\",\"v\":9",
+                Format::Jsonl,
+                "",
+            ),
+            // Two records on one line: concurrent writers without line
+            // buffering.
+            (
+                "interleaved",
+                "{\"t\":3,\"m\":\"a{\"t\":4,\"m\":\"b.y\",\"v\":1}",
+                Format::Jsonl,
+                "",
+            ),
+            (
+                "bad value",
+                "{\"t\":3,\"m\":\"a.x\",\"v\":1.2.3}",
+                Format::Jsonl,
+                "",
+            ),
+            (
+                "unknown event",
+                "{\"t\":3,\"e\":\"no_such\",\"s\":\"x\",\"v\":1}",
+                Format::Jsonl,
+                "unknown event kind",
+            ),
+            ("garbage", "hello world", Format::Jsonl, ""),
+            ("short CSV row", "3,sample,a.x", Format::Csv, "missing"),
+            (
+                "unknown record type",
+                "4,bogus,a.x,,1",
+                Format::Csv,
+                "unknown record type",
+            ),
+        ] {
+            let e = parse_line(line, 42, format).unwrap_err();
+            assert_eq!(e.line, 42, "{label}");
+            assert!(!e.message.is_empty(), "{label}");
+            assert!(e.message.contains(needle), "{label}: {}", e.message);
+        }
     }
 
     #[test]
@@ -560,8 +563,8 @@ mod tests {
         ] {
             assert!(parse_line(line, 7, format).is_err(), "{line:?} accepted");
         }
-        let lossy = parse_lossy("{\"t\":1,\"m\":\"a\"b\",\"v\":2}\n", Format::Jsonl);
-        assert_eq!((lossy.records.len(), lossy.errors[0].line), (0, 1));
+        let e = parse_line("{\"t\":1,\"m\":\"a\"b\",\"v\":2}", 1, Format::Jsonl).unwrap_err();
+        assert_eq!(e.line, 1);
         let ok = parse_line(
             "{\"t\":1,\"e\":\"shed\",\"s\":\"cluster feed\",\"v\":1}",
             1,
@@ -600,79 +603,6 @@ mod tests {
             let parsed = parse(&text, format).unwrap();
             assert_eq!(render_parsed(&parsed, format), text, "{format:?}");
         }
-    }
-
-    /// Wire-hardening contract: each malformed shape a live socket can
-    /// produce costs exactly its own line; every well-formed line still
-    /// parses, the error is structured (line number + message), and the
-    /// survivors re-serialize cleanly.
-    #[test]
-    fn lossy_parse_survives_each_malformed_shape() {
-        let good_a = "{\"t\":1,\"m\":\"a.x\",\"v\":2}";
-        let good_b = "{\"t\":2,\"m\":\"a.x\",\"v\":3}";
-        let cases: Vec<(&str, String)> = vec![
-            // Truncated mid-object: the sender died mid-write.
-            (
-                "truncated",
-                format!("{good_a}\n{{\"t\":3,\"m\":\"a.x\",\"v\":9\n{good_b}\n"),
-            ),
-            // Two records interleaved onto one line: concurrent writers
-            // without line buffering.
-            (
-                "interleaved partial",
-                format!(
-                    "{good_a}\n{{\"t\":3,\"m\":\"a{{\"t\":4,\"m\":\"b.y\",\"v\":1}}\n{good_b}\n"
-                ),
-            ),
-            // Unparseable value.
-            (
-                "bad value",
-                format!("{good_a}\n{{\"t\":3,\"m\":\"a.x\",\"v\":1.2.3}}\n{good_b}\n"),
-            ),
-            // Unknown event kind.
-            (
-                "unknown event",
-                format!("{good_a}\n{{\"t\":3,\"e\":\"no_such\",\"s\":\"x\",\"v\":1}}\n{good_b}\n"),
-            ),
-            // Garbage that is not JSON at all.
-            ("garbage", format!("{good_a}\nhello world\n{good_b}\n")),
-        ];
-        for (label, text) in &cases {
-            let lossy = parse_lossy(text, Format::Jsonl);
-            assert_eq!(lossy.records.len(), 2, "{label}: good lines survive");
-            assert_eq!(lossy.errors.len(), 1, "{label}: one structured error");
-            assert_eq!(lossy.errors[0].line, 2, "{label}: error pins the line");
-            assert!(!lossy.errors[0].message.is_empty(), "{label}");
-            let rendered = render_parsed(&lossy.records, Format::Jsonl);
-            assert_eq!(
-                rendered,
-                format!("{good_a}\n{good_b}\n"),
-                "{label}: survivors round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn lossy_parse_csv_tolerates_repeated_headers_and_counts_bad_rows() {
-        let text = format!(
-            "{h}1,sample,a.x,,2\n{h}2,sample,a.x,,3\n3,sample,a.x\n4,bogus,a.x,,1\n",
-            h = CSV_HEADER
-        );
-        let lossy = parse_lossy(&text, Format::Csv);
-        assert_eq!(
-            lossy.records.len(),
-            2,
-            "rows on both sides of the repeated header"
-        );
-        assert_eq!(lossy.errors.len(), 2);
-        assert!(lossy.errors[0].message.contains("missing"));
-        assert!(lossy.errors[1].message.contains("unknown record type"));
-        // A stream that opens with garbage instead of the header loses
-        // line 1 (reported), not the stream.
-        let lossy = parse_lossy("wrong,header\n1,sample,a.x,,2\n", Format::Csv);
-        assert_eq!(lossy.errors.len(), 1);
-        assert_eq!(lossy.errors[0].line, 1);
-        assert_eq!(lossy.records.len(), 1);
     }
 
     #[test]

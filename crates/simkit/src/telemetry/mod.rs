@@ -36,8 +36,8 @@ pub mod recorder;
 pub mod registry;
 
 pub use codec::{
-    is_csv_header, parse, parse_line, parse_lossy, render_parsed, to_csv, to_jsonl, Format,
-    LossyParse, ParseError, ParsedRecord, CSV_HEADER,
+    is_csv_header, parse, parse_line, render_parsed, to_csv, to_jsonl, Format, ParseError,
+    ParsedRecord, CSV_HEADER,
 };
 pub use inspect::{EventDigest, MetricDigest, TelemetryReport};
 pub use record::{sort_records, EventKind, EventRecord, Record, Sample};

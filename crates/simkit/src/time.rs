@@ -115,9 +115,6 @@ impl SimDuration {
     /// One second.
     pub const SECOND: SimDuration = SimDuration(1_000);
 
-    /// One minute.
-    pub const MINUTE: SimDuration = SimDuration(60_000);
-
     /// Creates a duration from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms)

@@ -5,10 +5,16 @@
 //! round-trips exactly: rendering the parsed value and parsing that
 //! again yields the same value (floats compared bit for bit), and the
 //! rendering is a fixed point. Inputs are raw `any::<u8>` vectors and
-//! valid lines with a random byte splice, so the mutations reach past
-//! the first field. Nothing may panic.
+//! valid lines or documents (fault plans, chaos plans, alert rules)
+//! with a random byte splice, so the mutations reach past the first
+//! field. Nothing may panic.
+
+use std::fmt::Debug;
 
 use proptest::prelude::*;
+use simkit::alert::{parse_rules, render_rules_json};
+use simkit::chaos::ChaosPlan;
+use simkit::fault::FaultPlan;
 use simkit::jsonio::{Json, JsonParser, JsonWriter, MAX_DEPTH};
 use simkit::telemetry::{parse_line, render_parsed, Format, ParsedRecord};
 use simkit::trace::{parse_span_line, render_parsed_spans, ParsedSpan};
@@ -43,6 +49,29 @@ const SPAN_SEEDS: &[(&str, Format)] = &[
     ),
     ("0,attack.drain,,30000,330000,rack=1;nodes=4", Format::Csv),
     ("1,attack.spike,0,330000,600000,", Format::Csv),
+];
+
+/// Fault plans (`padsim fault --plan`) covering every fault kind.
+const FAULT_PLAN_SEEDS: &[&str] = &[
+    "{\"name\":\"ci-smoke\",\"specs\":[{\"kind\":\"sensor_noise\",\"target\":\"all\",\"start_ms\":0,\"end_ms\":60000,\"std\":0.05}]}",
+    "{\"name\":\"x\",\"specs\":[{\"kind\":\"msg_delay\",\"target\":\"1\",\"start_ms\":5,\"end_ms\":9,\"rounds\":2},{\"kind\":\"outage\",\"target\":\"0\",\"start_ms\":0,\"end_ms\":1}]}",
+    "{\"name\":\"bias\",\"specs\":[{\"kind\":\"sensor_bias\",\"target\":\"3\",\"start_ms\":1,\"end_ms\":2,\"delta\":-3.5},{\"kind\":\"sensor_stuck_at\",\"target\":\"all\",\"start_ms\":1,\"end_ms\":2,\"value\":0.9}]}",
+    "{\"name\":\"p\",\"specs\":[{\"kind\":\"sensor_dropout\",\"target\":\"0\",\"start_ms\":0,\"end_ms\":8,\"p\":0.5},{\"kind\":\"msg_loss\",\"target\":\"all\",\"start_ms\":0,\"end_ms\":8,\"p\":1}]}",
+    "{\"name\":\"f\",\"specs\":[{\"kind\":\"msg_reorder\",\"target\":\"all\",\"start_ms\":0,\"end_ms\":8,\"p\":0.25},{\"kind\":\"derate\",\"target\":\"2\",\"start_ms\":3,\"end_ms\":4,\"factor\":0.8},{\"kind\":\"capacity_fade\",\"target\":\"1\",\"start_ms\":3,\"end_ms\":4,\"factor\":1e-1}]}",
+];
+
+/// Chaos plans covering every wire fault, with and without a kill point.
+const CHAOS_PLAN_SEEDS: &[&str] = &[
+    "{\"name\":\"smoke\",\"seed\":7,\"kill_at_line\":40,\"faults\":[{\"kind\":\"cut_at\",\"offset\":120},{\"kind\":\"stall_at\",\"offset\":60,\"ms\":20}]}",
+    "{\"name\":\"lossy_garble\",\"seed\":3,\"faults\":[{\"kind\":\"chunk\",\"max_bytes\":5},{\"kind\":\"duplicate_line\",\"index\":4},{\"kind\":\"garble_line\",\"index\":9}]}",
+];
+
+/// Alert rules documents (`--alerts`) covering every rule kind and the
+/// optional fields.
+const RULES_SEEDS: &[&str] = &[
+    "{\"rules\":[\n{\"name\":\"hot\",\"severity\":\"page\",\"kind\":\"threshold\",\"metric\":\"rack-00.draw_w\",\"op\":\">=\",\"value\":5210,\"clear\":4800,\"for_ms\":1000,\"hold_ms\":0}\n]}\n",
+    "{\"rules\":[{\"name\":\"r\",\"kind\":\"rate\",\"metric\":\"a.b\",\"max_per_sec\":2.5},{\"name\":\"tenant-silent\",\"severity\":\"info\",\"kind\":\"deadman\",\"metric\":\"x\",\"factor\":3,\"min_gap_ms\":500,\"for_ms\":1}]}",
+    "{\"rules\":[{\"name\":\"low\",\"severity\":\"warn\",\"kind\":\"threshold\",\"metric\":\"soc\",\"op\":\"<\",\"value\":-0.5e1}]}",
 ];
 
 /// Bytes the wire grammars give meaning to; three in four spliced
@@ -197,6 +226,35 @@ fn check_span(text: &str, format: Format) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Error, or a value that renders, parses back the same (compared by
+/// `Debug`, which spells floats bit for bit) and re-renders unchanged.
+fn check_round_trip<T: Debug, E>(
+    text: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+    render: impl Fn(&T) -> String,
+) -> Result<(), TestCaseError> {
+    if let Ok(value) = parse(text) {
+        let text2 = render(&value);
+        let again = parse(&text2)
+            .map_err(|_| TestCaseError::fail(format!("{text2:?} does not reparse")))?;
+        prop_assert_eq!(format!("{again:?}"), format!("{value:?}"), "{:?}", text);
+        prop_assert_eq!(render(&again), text2);
+    }
+    Ok(())
+}
+
+fn check_fault_plan(text: &str) -> Result<(), TestCaseError> {
+    check_round_trip(text, FaultPlan::from_json, FaultPlan::to_json)
+}
+
+fn check_chaos_plan(text: &str) -> Result<(), TestCaseError> {
+    check_round_trip(text, ChaosPlan::from_json, ChaosPlan::to_json)
+}
+
+fn check_rules(text: &str) -> Result<(), TestCaseError> {
+    check_round_trip(text, parse_rules, |rules| render_rules_json(rules))
+}
+
 /// Builds a value tree from a stream of random words: nested objects
 /// and arrays, `null`, bools, strings over the no-escape charset and
 /// floats of any bit pattern.
@@ -322,6 +380,46 @@ proptest! {
     }
 
     #[test]
+    fn plan_and_rules_documents_error_or_round_trip(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        check_fault_plan(&text)?;
+        check_chaos_plan(&text)?;
+        check_rules(&text)?;
+    }
+
+    #[test]
+    fn mutated_fault_plans_error_or_round_trip(
+        seed in 0..FAULT_PLAN_SEEDS.len(),
+        at in 0usize..256,
+        cut in 0usize..4,
+        bytes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+    ) {
+        check_fault_plan(&splice(FAULT_PLAN_SEEDS[seed], at, cut, &bytes))?;
+    }
+
+    #[test]
+    fn mutated_chaos_plans_error_or_round_trip(
+        seed in 0..CHAOS_PLAN_SEEDS.len(),
+        at in 0usize..160,
+        cut in 0usize..4,
+        bytes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+    ) {
+        check_chaos_plan(&splice(CHAOS_PLAN_SEEDS[seed], at, cut, &bytes))?;
+    }
+
+    #[test]
+    fn mutated_rules_documents_error_or_round_trip(
+        seed in 0..RULES_SEEDS.len(),
+        at in 0usize..224,
+        cut in 0usize..4,
+        bytes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+    ) {
+        check_rules(&splice(RULES_SEEDS[seed], at, cut, &bytes))?;
+    }
+
+    #[test]
     fn written_trees_parse_back_equal(
         words in prop::collection::vec(any::<u64>(), 1..48),
         lines in any::<bool>(),
@@ -339,5 +437,18 @@ proptest! {
         let depth = MAX_DEPTH + 1 + extra;
         let text = format!("{}0{}", open.repeat(depth), close.repeat(depth));
         prop_assert!(JsonParser::parse_document(&text).is_err());
+    }
+}
+
+#[test]
+fn plan_and_rules_seeds_are_valid() {
+    for seed in FAULT_PLAN_SEEDS {
+        FaultPlan::from_json(seed).unwrap();
+    }
+    for seed in CHAOS_PLAN_SEEDS {
+        ChaosPlan::from_json(seed).unwrap();
+    }
+    for seed in RULES_SEEDS {
+        assert!(!parse_rules(seed).unwrap().is_empty(), "{seed}");
     }
 }
