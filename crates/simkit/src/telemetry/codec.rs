@@ -498,51 +498,94 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("unknown event kind"));
+    }
 
-        // Each malformed shape a live socket can produce costs exactly
-        // its own line: a structured error that names the line.
-        for (label, line, format, needle) in [
+    /// Parses a stream line by line the way a wire consumer does: skip
+    /// blank lines and (for CSV) every header row, hand each other line
+    /// to [`parse_line`], and keep its error instead of aborting.
+    fn parse_each_line(text: &str, format: Format) -> (Vec<ParsedRecord>, Vec<ParseError>) {
+        let (mut records, mut errors) = (Vec::new(), Vec::new());
+        for (idx, line_text) in text.lines().enumerate() {
+            if line_text.is_empty() || (format == Format::Csv && is_csv_header(line_text)) {
+                continue;
+            }
+            match parse_line(line_text, idx + 1, format) {
+                Ok(record) => records.push(record),
+                Err(e) => errors.push(e),
+            }
+        }
+        (records, errors)
+    }
+
+    /// Each malformed shape a live socket can produce costs exactly its
+    /// own line: every well-formed line still parses, the bad one is a
+    /// structured error (line number + message), and the survivors
+    /// re-serialize cleanly.
+    #[test]
+    fn lossy_parse_survives_each_malformed_shape() {
+        let good_a = "{\"t\":1,\"m\":\"a.x\",\"v\":2}";
+        let good_b = "{\"t\":2,\"m\":\"a.x\",\"v\":3}";
+        for (label, bad, needle) in [
             // The sender died mid-write.
-            (
-                "truncated",
-                "{\"t\":3,\"m\":\"a.x\",\"v\":9",
-                Format::Jsonl,
-                "",
-            ),
+            ("truncated", "{\"t\":3,\"m\":\"a.x\",\"v\":9", ""),
             // Two records on one line: concurrent writers without line
             // buffering.
             (
                 "interleaved",
                 "{\"t\":3,\"m\":\"a{\"t\":4,\"m\":\"b.y\",\"v\":1}",
-                Format::Jsonl,
                 "",
             ),
-            (
-                "bad value",
-                "{\"t\":3,\"m\":\"a.x\",\"v\":1.2.3}",
-                Format::Jsonl,
-                "",
-            ),
+            ("bad value", "{\"t\":3,\"m\":\"a.x\",\"v\":1.2.3}", ""),
             (
                 "unknown event",
                 "{\"t\":3,\"e\":\"no_such\",\"s\":\"x\",\"v\":1}",
-                Format::Jsonl,
                 "unknown event kind",
             ),
-            ("garbage", "hello world", Format::Jsonl, ""),
-            ("short CSV row", "3,sample,a.x", Format::Csv, "missing"),
-            (
-                "unknown record type",
-                "4,bogus,a.x,,1",
-                Format::Csv,
-                "unknown record type",
-            ),
+            ("garbage", "hello world", ""),
         ] {
-            let e = parse_line(line, 42, format).unwrap_err();
-            assert_eq!(e.line, 42, "{label}");
-            assert!(!e.message.is_empty(), "{label}");
-            assert!(e.message.contains(needle), "{label}: {}", e.message);
+            let (records, errors) =
+                parse_each_line(&format!("{good_a}\n{bad}\n{good_b}\n"), Format::Jsonl);
+            assert_eq!(records.len(), 2, "{label}: good lines survive");
+            assert_eq!(errors.len(), 1, "{label}: one structured error");
+            assert_eq!(errors[0].line, 2, "{label}: error pins the line");
+            assert!(!errors[0].message.is_empty(), "{label}");
+            assert!(
+                errors[0].message.contains(needle),
+                "{label}: {}",
+                errors[0].message
+            );
+            assert_eq!(
+                render_parsed(&records, Format::Jsonl),
+                format!("{good_a}\n{good_b}\n"),
+                "{label}: survivors round-trip"
+            );
         }
+    }
+
+    #[test]
+    fn lossy_parse_csv_tolerates_repeated_headers_and_counts_bad_rows() {
+        // Several CSV blocks glued together repeat the header; a wire
+        // consumer skips it with `is_csv_header`.
+        let text = format!(
+            "{h}1,sample,a.x,,2\n{h}2,sample,a.x,,3\n3,sample,a.x\n4,bogus,a.x,,1\n",
+            h = CSV_HEADER
+        );
+        let (records, errors) = parse_each_line(&text, Format::Csv);
+        assert_eq!(
+            records.len(),
+            2,
+            "rows on both sides of the repeated header"
+        );
+        assert_eq!(errors.len(), 2);
+        assert_eq!((errors[0].line, errors[1].line), (5, 6));
+        assert!(errors[0].message.contains("missing"));
+        assert!(errors[1].message.contains("unknown record type"));
+        // A stream that opens with garbage instead of the header loses
+        // line 1 (reported), not the stream.
+        let (records, errors) = parse_each_line("wrong,header\n1,sample,a.x,,2\n", Format::Csv);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].line, 1);
+        assert_eq!(records.len(), 1);
     }
 
     #[test]
